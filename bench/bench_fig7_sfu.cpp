@@ -10,7 +10,7 @@
 
 #include "apps/kernels.h"
 #include "bench_util.h"
-#include "cosynth/asip.h"
+#include "cosynth/run.h"
 
 namespace mhs {
 namespace {
@@ -30,7 +30,7 @@ void run() {
     ir::OpId v = divs.input("a");
     for (int i = 0; i < 12; ++i) {
       v = divs.binary(ir::OpKind::kDiv, v,
-                      divs.input("d" + std::to_string(i)));
+                      divs.input(concat("d", std::to_string(i))));
     }
     divs.output("y", v);
   }
@@ -42,13 +42,18 @@ void run() {
       {&storage[1], 3.0, "div_chain"},
   };
   const sw::CpuModel base = sw::reference_cpu();
+  // The static style is the plain ASIP target: one feature set for all.
+  cosynth::Request fixed_request;
+  fixed_request.apps = apps_set;
+  fixed_request.cpu = base;
 
   TextTable table(
       {"budget", "style", "speedup", "area used", "per-app detail"});
   bool reconfig_wins_somewhere = false;
   for (const double budget : {900.0, 1500.0, 2000.0, 2600.0, 4000.0}) {
+    fixed_request.area_budget = budget;
     const cosynth::AsipDesign fixed =
-        cosynth::synthesize_sfu_static(apps_set, base, budget);
+        *cosynth::run(cosynth::Target::kAsip, fixed_request).asip;
     const cosynth::ReconfigSfuDesign flexible =
         cosynth::synthesize_sfu_reconfigurable(apps_set, base, budget);
 

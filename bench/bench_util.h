@@ -190,11 +190,12 @@ class Reporter {
                 << " — not written\n";
       return;
     }
-    std::string dir = env_or("MHS_BENCH_OUT", ".");
-    if (dir.empty()) dir = ".";
+    const char* out_dir = std::getenv("MHS_BENCH_OUT");
+    const std::string dir =
+        out_dir == nullptr || *out_dir == '\0' ? "." : out_dir;
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best-effort
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
+    const std::string path = concat(dir, "/BENCH_", name_, ".json");
     std::ofstream out(path);
     if (!out) {
       std::cerr << "bench::Reporter: cannot write " << path << "\n";

@@ -82,7 +82,6 @@ file(MAKE_DIRECTORY "${json_dir}")
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env "MHS_BENCH_OUT=${json_dir}"
           "MHS_GIT_REV=sanitize" "${build_dir}/bench/bench_fig2_tasks"
-          --benchmark_min_time=1x
   RESULT_VARIABLE bench_rc
   OUTPUT_QUIET)
 if(NOT bench_rc EQUAL 0)

@@ -5,6 +5,7 @@
 
 #include "base/error.h"
 #include "base/fixed_point.h"
+#include "base/table.h"
 
 namespace mhs::apps {
 
@@ -35,7 +36,7 @@ ir::Cdfg fir_kernel(std::size_t taps) {
   }
   ir::OpId acc = ir::OpId::invalid();
   for (std::size_t i = 0; i < taps; ++i) {
-    const ir::OpId x = c.input("x" + std::to_string(i));
+    const ir::OpId x = c.input(concat("x", std::to_string(i)));
     const ir::OpId term = qmul(c, x, q16(h[i] / sum));
     acc = acc.valid() ? c.add(acc, term) : term;
   }
@@ -65,7 +66,9 @@ ir::Cdfg iir_biquad_kernel() {
 ir::Cdfg dct8_kernel() {
   ir::Cdfg c("dct8");
   std::vector<ir::OpId> x;
-  for (int i = 0; i < 8; ++i) x.push_back(c.input("x" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) {
+    x.push_back(c.input(concat("x", std::to_string(i))));
+  }
   for (int k = 0; k < 8; ++k) {
     ir::OpId acc = ir::OpId::invalid();
     const double scale = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
@@ -75,7 +78,7 @@ ir::Cdfg dct8_kernel() {
       const ir::OpId term = qmul(c, x[static_cast<std::size_t>(n)], q16(coeff));
       acc = acc.valid() ? c.add(acc, term) : term;
     }
-    c.output("X" + std::to_string(k), acc);
+    c.output(concat("X", std::to_string(k)), acc);
   }
   return c;
 }
@@ -150,7 +153,7 @@ ir::Cdfg checksum_kernel(std::size_t words) {
   ir::OpId a = c.constant(1);
   ir::OpId b = c.constant(0);
   for (std::size_t i = 0; i < words; ++i) {
-    const ir::OpId w = c.input("w" + std::to_string(i));
+    const ir::OpId w = c.input(concat("w", std::to_string(i)));
     a = c.band(c.add(a, w), mod);
     b = c.band(c.add(b, a), mod);
   }
@@ -164,8 +167,8 @@ ir::Cdfg sad_kernel(std::size_t n) {
   ir::Cdfg c("sad" + std::to_string(n));
   ir::OpId acc = ir::OpId::invalid();
   for (std::size_t i = 0; i < n; ++i) {
-    const ir::OpId a = c.input("a" + std::to_string(i));
-    const ir::OpId b = c.input("b" + std::to_string(i));
+    const ir::OpId a = c.input(concat("a", std::to_string(i)));
+    const ir::OpId b = c.input(concat("b", std::to_string(i)));
     const ir::OpId diff = c.unary(ir::OpKind::kAbs, c.sub(a, b));
     acc = acc.valid() ? c.add(acc, diff) : diff;
   }
@@ -179,12 +182,14 @@ ir::Cdfg matmul_kernel(std::size_t n) {
   std::vector<std::vector<ir::OpId>> a(n), b(n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = 0; k < n; ++k) {
-      a[r].push_back(c.input("a" + std::to_string(r) + std::to_string(k)));
+      a[r].push_back(
+          c.input(concat("a", std::to_string(r), std::to_string(k))));
     }
   }
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = 0; k < n; ++k) {
-      b[r].push_back(c.input("b" + std::to_string(r) + std::to_string(k)));
+      b[r].push_back(
+          c.input(concat("b", std::to_string(r), std::to_string(k))));
     }
   }
   for (std::size_t r = 0; r < n; ++r) {
@@ -194,7 +199,7 @@ ir::Cdfg matmul_kernel(std::size_t n) {
         const ir::OpId term = c.mul(a[r][j], b[j][k]);
         acc = acc.valid() ? c.add(acc, term) : term;
       }
-      c.output("c" + std::to_string(r) + std::to_string(k), acc);
+      c.output(concat("c", std::to_string(r), std::to_string(k)), acc);
     }
   }
   return c;
@@ -208,7 +213,7 @@ ir::Cdfg sobel3_kernel() {
       // The Sobel gradient never reads the window's centre pixel, so the
       // kernel does not declare it (a dead input would fail strict lint).
       if (r == 1 && k == 1) continue;
-      p[r][k] = c.input("p" + std::to_string(r) + std::to_string(k));
+      p[r][k] = c.input(concat("p", std::to_string(r), std::to_string(k)));
     }
   }
   const ir::OpId two = c.constant(2);
@@ -234,7 +239,7 @@ ir::Cdfg quantize_kernel(std::size_t n) {
   ir::Cdfg c("quantize" + std::to_string(n));
   const ir::OpId sixteen = c.constant(16);
   for (std::size_t i = 0; i < n; ++i) {
-    const ir::OpId x = c.input("x" + std::to_string(i));
+    const ir::OpId x = c.input(concat("x", std::to_string(i)));
     // Reciprocal of a JPEG-ish quant step (steps grow with index).
     const std::int64_t step = static_cast<std::int64_t>(8 + 3 * i);
     const ir::OpId recip = c.constant((std::int64_t{1} << 16) / step);
@@ -244,7 +249,7 @@ ir::Cdfg quantize_kernel(std::size_t n) {
     const ir::OpId hi = c.constant(1023);
     const ir::OpId clamped = c.binary(
         ir::OpKind::kMin, c.binary(ir::OpKind::kMax, scaled, lo), hi);
-    c.output("q" + std::to_string(i), clamped);
+    c.output(concat("q", std::to_string(i)), clamped);
   }
   return c;
 }

@@ -44,6 +44,17 @@ std::string fmt(double value, int precision = 3);
 std::string fmt(std::size_t value);
 std::string fmt(long long value);
 
+/// Concatenates strings, literals and chars into one string. Use it for
+/// names like concat("x", std::to_string(i)) instead of chaining
+/// operator+ onto a literal: at -O3, GCC 12 raises a false-positive
+/// -Wrestrict on that chain once it is inlined.
+template <class... Parts>
+std::string concat(const Parts&... parts) {
+  std::string out;
+  (out += ... += parts);
+  return out;
+}
+
 /// Prints a section banner used between experiment sub-tables.
 std::string banner(const std::string& title);
 

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 #include "opt/knapsack.h"
 
 namespace mhs::cosynth {
@@ -111,8 +112,9 @@ double weighted_cycles(const std::vector<WeightedKernel>& apps,
 
 }  // namespace
 
-AsipDesign synthesize_asip(const std::vector<WeightedKernel>& apps,
-                           const sw::CpuModel& base, double area_budget) {
+AsipDesign detail::run_asip(const Request& request) {
+  const std::vector<WeightedKernel>& apps = request.apps;
+  const sw::CpuModel& base = request.cpu;
   MHS_CHECK(!apps.empty(), "ASIP synthesis needs at least one application");
   AsipDesign design;
   design.base_cycles = weighted_cycles(apps, base, {});
@@ -129,24 +131,13 @@ AsipDesign synthesize_asip(const std::vector<WeightedKernel>& apps,
     items.push_back(opt::KnapsackItem{isa_feature_area(f), saved, i});
   }
   const opt::KnapsackResult solution =
-      opt::solve_knapsack(items, area_budget);
+      opt::solve_knapsack(items, request.area_budget);
   for (const std::size_t key : solution.chosen_keys) {
     design.features.push_back(kAllIsaFeatures[key]);
   }
   design.area_used = solution.total_weight;
   design.asip_cycles = weighted_cycles(apps, base, design.features);
   return design;
-}
-
-AsipDesign synthesize_sfu_static(const std::vector<WeightedKernel>& apps,
-                                 const sw::CpuModel& base,
-                                 double area_budget) {
-  // Same algorithm as the (deprecated) direct ASIP entry point; kept as
-  // a distinct spelling for the figure-7 experiment.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return synthesize_asip(apps, base, area_budget);
-#pragma GCC diagnostic pop
 }
 
 ReconfigSfuDesign synthesize_sfu_reconfigurable(

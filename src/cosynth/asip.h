@@ -5,15 +5,17 @@
 // with a silicon cost: a fast multiplier, a fast divider, a single-cycle
 // memory port, a barrel shifter, native select/min/max/abs instructions,
 // and a fused multiply-accumulate. Given a weighted set of application
-// kernels and an area budget, the synthesizer measures each feature's
-// cycle savings on the applications and picks the best subset (exact
-// knapsack) — moving the HW/SW boundary "by adding new instructions to
-// the instruction set architecture", including the modifiability story:
-// everything still runs without the features, just slower.
+// kernels and an area budget, cosynth::run(Target::kAsip) measures each
+// feature's cycle savings on the applications and picks the best subset
+// (exact knapsack) — moving the HW/SW boundary "by adding new
+// instructions to the instruction set architecture", including the
+// modifiability story: everything still runs without the features, just
+// slower.
 //
-// Two special-purpose-FU deployment styles (Figure 7) are also provided:
-// a static FU set shared by all applications, and a field-reprogrammable
-// slot that is reconfigured per application (PRISM-style [15]).
+// Figure 7 compares two special-purpose-FU deployment styles: a static FU
+// set shared by all applications (that same kAsip selection) and a
+// field-reprogrammable slot that is reconfigured per application
+// (PRISM-style [15], synthesize_sfu_reconfigurable below).
 #pragma once
 
 #include <string>
@@ -77,18 +79,6 @@ struct AsipDesign {
   double area() const { return area_used; }
   std::string summary() const;
 };
-
-/// Picks the feature subset maximizing weighted cycle savings under
-/// `area_budget` (exact knapsack over the candidate features).
-[[deprecated("use cosynth::run(Target::kAsip, ...)")]]
-AsipDesign synthesize_asip(const std::vector<WeightedKernel>& apps,
-                           const sw::CpuModel& base, double area_budget);
-
-/// Figure 7, static style: one feature set shared by all applications
-/// (same as synthesize_asip; provided for symmetry of the experiment).
-AsipDesign synthesize_sfu_static(const std::vector<WeightedKernel>& apps,
-                                 const sw::CpuModel& base,
-                                 double area_budget);
 
 /// Figure 7, reconfigurable style: one programmable FU slot whose
 /// configuration is swapped per application — each app gets its best

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 
 namespace mhs::cosynth {
 
@@ -15,13 +16,18 @@ std::string CoprocDesign::summary() const {
   return os.str();
 }
 
-CoprocDesign synthesize_coprocessor(const partition::CostModel& model,
-                                    const partition::Objective& objective,
-                                    CoprocStrategy strategy) {
+CoprocDesign detail::run_coprocessor(const Request& request,
+                                      obs::Registry* sink) {
+  MHS_CHECK(request.model != nullptr,
+            "cosynth::run(kCoprocessor) needs request.model");
+  partition::PartitionOptions options;
+  options.trace_sink = sink;
   CoprocDesign design;
-  design.partition = partition::run(strategy, model, objective);
+  design.partition = partition::run(request.strategy, *request.model,
+                                    request.objective, options);
   design.all_sw_latency =
-      partition::run(partition::Strategy::kAllSw, model, objective)
+      partition::run(partition::Strategy::kAllSw, *request.model,
+                     request.objective, options)
           .metrics.latency_cycles;
   return design;
 }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 #include "sim/peripheral.h"
 #include "sim/run.h"
 
@@ -36,18 +37,23 @@ std::uint64_t AddressMapAllocator::allocate(std::uint64_t size,
   return addr;
 }
 
-InterfaceDesign synthesize_interface(
-    const hw::HlsResult& impl, const InterfaceRequirements& reqs,
-    const std::vector<std::vector<std::int64_t>>& sample_inputs,
-    AddressMapAllocator& allocator) {
+InterfaceDesign detail::run_interface(const Request& request,
+                                      obs::Registry* sink) {
+  MHS_CHECK(request.impl != nullptr && request.samples != nullptr &&
+                request.allocator != nullptr,
+            "cosynth::run(kInterface) needs request.impl, request.samples, "
+            "and request.allocator");
+  const hw::HlsResult& impl = *request.impl;
+  const InterfaceRequirements& reqs = request.interface_reqs;
+  const std::vector<std::vector<std::int64_t>>& sample_inputs =
+      *request.samples;
   MHS_CHECK(reqs.latency_weight >= 0.0 && reqs.latency_weight <= 1.0,
             "latency_weight out of [0,1]");
   MHS_CHECK(!sample_inputs.empty(), "need evaluation samples");
 
   InterfaceDesign design;
-  design.base_address =
-      allocator.allocate(sim::PeripheralLayout::kSize,
-                         sim::PeripheralLayout::kSize);
+  design.base_address = request.allocator->allocate(
+      sim::PeripheralLayout::kSize, sim::PeripheralLayout::kSize);
 
   // Evaluate both driver styles by co-simulation.
   const std::size_t samples =
@@ -64,6 +70,7 @@ InterfaceDesign synthesize_interface(
     cfg.fault_plan = reqs.fault_plan;
     cfg.fault_seed = reqs.fault_seed;
     cfg.resilience = reqs.resilience;
+    cfg.trace_sink = sink;
     DriverCandidate cand;
     cand.use_irq = use_irq;
     sim::SimRequest sreq;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "base/table.h"
+#include "cosynth/targets.h"
 
 namespace mhs::cosynth {
 
@@ -41,16 +42,19 @@ ir::TaskGraph reannotate(const ir::TaskGraph& graph,
 /// dominating over-budget penalty) and trims greedily if the optimizer
 /// still landed above the budget.
 partition::PartitionResult partition_under_budget(
-    const partition::CostModel& model, double coproc_budget) {
+    const partition::CostModel& model, double coproc_budget,
+    obs::Registry* trace_sink) {
   partition::Objective objective;
   objective.latency_weight = 1.0;
   objective.area_weight = 1e-6;  // tie-break toward smaller hardware
   objective.area_budget = std::max(coproc_budget, 1e-9);
   objective.area_penalty_weight = 1e4;
+  partition::PartitionOptions options;
+  options.trace_sink = trace_sink;
   partition::PartitionResult result = partition::run(
       coproc_budget <= 0.0 ? partition::Strategy::kAllSw
                            : partition::Strategy::kKl,
-      model, objective);
+      model, objective, options);
 
   // Enforce the budget strictly: evict the HW task with the smallest
   // latency damage until the shared-area estimate fits.
@@ -80,7 +84,8 @@ MixedDesign evaluate_feature_subset(
     const ir::TaskGraph& graph, const std::vector<const ir::Cdfg*>& kernels,
     const sw::CpuModel& base_cpu, const hw::ComponentLibrary& lib,
     const std::vector<IsaFeature>& features, double silicon_budget,
-    const partition::CommModel& comm, bool allow_offload) {
+    const partition::CommModel& comm, bool allow_offload,
+    obs::Registry* trace_sink = nullptr) {
   double isa_area = 0.0;
   for (const IsaFeature f : features) isa_area += isa_feature_area(f);
 
@@ -93,7 +98,7 @@ MixedDesign evaluate_feature_subset(
   const partition::CostModel model(annotated, lib, comm);
   if (allow_offload) {
     const partition::PartitionResult r =
-        partition_under_budget(model, silicon_budget - isa_area);
+        partition_under_budget(model, silicon_budget - isa_area, trace_sink);
     design.mapping = r.mapping;
     design.partition_evaluations = r.evaluations;
   } else {
@@ -106,12 +111,12 @@ MixedDesign evaluate_feature_subset(
 
 }  // namespace
 
-MixedDesign synthesize_mixed(const ir::TaskGraph& graph,
-                             const std::vector<const ir::Cdfg*>& kernels,
-                             const sw::CpuModel& base_cpu,
-                             const hw::ComponentLibrary& lib,
-                             double silicon_budget,
-                             const partition::CommModel& comm) {
+MixedDesign detail::run_mixed(const Request& request, obs::Registry* sink) {
+  MHS_CHECK(request.graph != nullptr && request.kernels != nullptr,
+            "cosynth::run(kMixed) needs request.graph and request.kernels");
+  const ir::TaskGraph& graph = *request.graph;
+  const std::vector<const ir::Cdfg*>& kernels = *request.kernels;
+  const double silicon_budget = request.area_budget;
   MHS_CHECK(kernels.size() == graph.num_tasks(),
             "one kernel slot per task required");
   MHS_CHECK(silicon_budget >= 0.0, "negative silicon budget");
@@ -133,9 +138,9 @@ MixedDesign synthesize_mixed(const ir::TaskGraph& graph,
     }
     if (isa_area > silicon_budget + 1e-9) continue;
     ++tried;
-    MixedDesign candidate =
-        evaluate_feature_subset(graph, kernels, base_cpu, lib, features,
-                                silicon_budget, comm, /*allow_offload=*/true);
+    MixedDesign candidate = evaluate_feature_subset(
+        graph, kernels, request.cpu, request.library, features,
+        silicon_budget, request.comm, /*allow_offload=*/true, sink);
     evals += candidate.partition_evaluations;
     if (!have_best || candidate.latency_cycles < best.latency_cycles - 1e-9 ||
         (std::abs(candidate.latency_cycles - best.latency_cycles) <= 1e-9 &&

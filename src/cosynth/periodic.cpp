@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cosynth/targets.h"
 #include "opt/binpack.h"
 
 namespace mhs::cosynth {
@@ -99,9 +100,12 @@ PeriodicAnalysis analyze_periodic(const ir::TaskGraph& graph,
   return analysis;
 }
 
-MpDesign synthesize_periodic(const ir::TaskGraph& graph,
-                             const std::vector<PeType>& catalog) {
-  MHS_CHECK(!catalog.empty(), "empty PE catalog");
+MpDesign detail::run_multiproc_periodic(const Request& request) {
+  MHS_CHECK(request.graph != nullptr,
+            "cosynth::run(kMultiprocPeriodic) needs request.graph");
+  const ir::TaskGraph& graph = *request.graph;
+  const std::vector<PeType> catalog =
+      request.catalog.empty() ? default_pe_catalog() : request.catalog;
   for (const ir::TaskId t : graph.task_ids()) {
     MHS_CHECK(graph.task(t).period > 0.0,
               "task '" << graph.task(t).name << "' has no period");

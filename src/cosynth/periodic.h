@@ -9,8 +9,9 @@
 //   * the Liu–Layland rate-monotonic bound U <= n(2^{1/n} - 1),
 //   * exact fixed-priority response-time analysis (RM priorities),
 //
-// plus a periodic variant of the bin-packing synthesizer that packs task
-// utilizations and validates the result with response-time analysis.
+// cosynth::run(Target::kMultiprocPeriodic) is the periodic variant of the
+// bin-packing synthesizer: it packs task utilizations and validates the
+// result with response-time analysis.
 #pragma once
 
 #include <vector>
@@ -56,12 +57,5 @@ struct PeriodicAnalysis {
 PeriodicAnalysis analyze_periodic(const ir::TaskGraph& graph,
                                   const std::vector<PeType>& catalog,
                                   const MpDesign& design);
-
-/// Beck-style periodic synthesis: packs utilization (wcet/period) into
-/// PE capacity, then tightens the packing margin until response-time
-/// analysis passes on every instance. All tasks need positive periods.
-[[deprecated("use cosynth::run(Target::kMultiprocPeriodic, ...)")]]
-MpDesign synthesize_periodic(const ir::TaskGraph& graph,
-                             const std::vector<PeType>& catalog);
 
 }  // namespace mhs::cosynth

@@ -12,9 +12,10 @@
 //
 // and returns a Result exposing the common *Design shape (latency(),
 // area(), summary()), so core::Report can aggregate any target
-// uniformly. The legacy free functions (synthesize_coprocessor,
-// synthesize_asip, ...) remain as the thin per-target entry points; run()
-// produces bit-identical results to calling them directly.
+// uniformly. run() is the only entry point to these targets; the
+// per-target headers hold their *Design types and the helpers that are
+// not targets (validate_hw_area, synthesize_sfu_reconfigurable, the
+// multiprocessor solvers).
 #pragma once
 
 #include <cstdint>
@@ -97,8 +98,9 @@ struct Request {
   /// differ only in whether *this* dispatcher or a later consumer fails.
   analysis::LintLevel lint_level = analysis::LintLevel::kWarn;
 
-  /// Request-scoped trace sink for run()'s spans (null = the installed
-  /// global registry). Never affects the result.
+  /// Request-scoped trace sink for run()'s spans and counters and those
+  /// of the layers it calls (null = the installed global registry).
+  /// Never affects the result.
   obs::Registry* trace_sink = nullptr;
 };
 
@@ -123,8 +125,7 @@ struct Result {
   std::string summary() const;
 };
 
-/// Runs the chosen co-synthesis target over `request`. Bit-identical to
-/// calling the target's legacy free function with the same inputs.
+/// Runs the chosen co-synthesis target over `request`.
 Result run(Target target, const Request& request);
 
 }  // namespace mhs::cosynth

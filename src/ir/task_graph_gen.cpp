@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "base/table.h"
+
 namespace mhs::ir {
 
 namespace {
@@ -40,7 +42,7 @@ TaskGraph gen_layered(const TaskGraphGenConfig& cfg, Rng& rng) {
     const std::size_t take = std::min(want, remaining);
     std::vector<TaskId> layer;
     for (std::size_t i = 0; i < take; ++i) {
-      layer.push_back(g.add_task("t" + std::to_string(g.num_tasks()),
+      layer.push_back(g.add_task(concat("t", std::to_string(g.num_tasks())),
                                  random_costs(cfg, rng)));
     }
     layers.push_back(std::move(layer));

@@ -5,6 +5,7 @@
 
 #include "base/table.h"
 #include "obs/obs.h"
+#include "sim/levels.h"
 #include "sim/peripheral.h"
 
 namespace mhs::sim {
@@ -655,9 +656,13 @@ CosimReport dispatch_cosim(const hw::HlsResult& impl,
 
 }  // namespace
 
-CosimReport run_cosim(const hw::HlsResult& impl, const CosimConfig& config,
-                      const std::vector<std::vector<std::int64_t>>&
-                          sample_inputs) {
+CosimReport detail::run_accelerator(const SimRequest& request) {
+  MHS_CHECK(request.impl != nullptr && request.samples != nullptr,
+            "sim::run(kAccelerator) needs request.impl and request.samples");
+  const hw::HlsResult& impl = *request.impl;
+  const CosimConfig& config = request.cosim;
+  const std::vector<std::vector<std::int64_t>>& sample_inputs =
+      *request.samples;
   MHS_CHECK(!sample_inputs.empty(), "co-simulation needs at least 1 sample");
   obs::Registry* const sink = obs::resolve(config.trace_sink);
   obs::Span span(sink, interface_level_name(config.level), "cosim");

@@ -3,11 +3,13 @@
 #include <cmath>
 #include <deque>
 
+#include "sim/levels.h"
+
 namespace mhs::sim {
 
 namespace {
 
-/// The engine behind run_message_cosim. One instance per run; actors are
+/// The engine behind sim::run(kProcess). One instance per run; actors are
 /// cooperative state machines driven by simulator events.
 class OsCosim {
  public:
@@ -211,10 +213,10 @@ class OsCosim {
 
 }  // namespace
 
-OsCosimResult run_message_cosim(const ir::ProcessNetwork& net,
-                                const std::vector<bool>& in_hw,
-                                const OsCosimConfig& config) {
-  OsCosim engine(net, in_hw, config);
+OsCosimResult detail::run_process(const SimRequest& request) {
+  MHS_CHECK(request.network != nullptr && request.in_hw != nullptr,
+            "sim::run(kProcess) needs request.network and request.in_hw");
+  OsCosim engine(*request.network, *request.in_hw, request.os);
   return engine.run();
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ir/task_graph_algos.h"
+#include "sim/levels.h"
 
 namespace mhs::sim {
 
@@ -171,10 +172,10 @@ class SystemCosim {
 
 }  // namespace
 
-SystemCosimResult run_system_cosim(const ir::TaskGraph& graph,
-                                   const partition::Mapping& mapping,
-                                   const SystemCosimConfig& config) {
-  SystemCosim engine(graph, mapping, config);
+SystemCosimResult detail::run_system(const SimRequest& request) {
+  MHS_CHECK(request.graph != nullptr && request.mapping != nullptr,
+            "sim::run(kSystem) needs request.graph and request.mapping");
+  SystemCosim engine(*request.graph, *request.mapping, request.system);
   return engine.run();
 }
 

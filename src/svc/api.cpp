@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "base/table.h"
 #include "obs/json.h"
 
 namespace mhs::svc {
@@ -18,7 +19,7 @@ std::string num(double v) {
 std::string num_u64(std::uint64_t v) { return std::to_string(v); }
 
 std::string quoted(const std::string& s) {
-  return "\"" + obs::json_escape(s) + "\"";
+  return concat("\"", obs::json_escape(s), "\"");
 }
 
 void render_string_array(std::ostringstream& os,

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "base/table.h"
+
 namespace mhs::sw {
 
 const char* opcode_name(Opcode op) {
@@ -35,7 +37,7 @@ const char* opcode_name(Opcode op) {
 std::string disassemble(const Instr& i) {
   std::ostringstream os;
   os << opcode_name(i.op);
-  auto r = [](std::uint8_t n) { return "x" + std::to_string(n); };
+  auto r = [](std::uint8_t n) { return concat("x", std::to_string(n)); };
   switch (i.op) {
     case Opcode::kNop:
     case Opcode::kHalt:

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/rng.h"
+#include "base/table.h"
 #include "ir/cdfg.h"
 
 namespace mhs::fuzz {
@@ -70,7 +71,7 @@ inline ir::Cdfg random_kernel(std::uint64_t seed) {
   const std::int64_t num_inputs = rng.uniform_int(1, 4);
   for (std::int64_t i = 0; i < num_inputs; ++i) {
     const ir::ValueRange r = random_range(rng);
-    pool.push_back(k.input("x" + std::to_string(i), r));
+    pool.push_back(k.input(concat("x", std::to_string(i)), r));
   }
   const std::int64_t num_consts = rng.uniform_int(0, 3);
   for (std::int64_t i = 0; i < num_consts; ++i) {

@@ -6,6 +6,7 @@
 #include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/fixed_point.h"
+#include "base/table.h"
 #include "ir/task_graph_algos.h"
 
 namespace mhs::apps {
@@ -42,7 +43,7 @@ TEST(Kernels, Dct8MatchesDirectComputation) {
   double x[8] = {1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0};
   std::map<std::string, std::int64_t> in;
   for (int i = 0; i < 8; ++i) {
-    in["x" + std::to_string(i)] = Q16::from_double(x[i]).raw();
+    in[concat("x", std::to_string(i))] = Q16::from_double(x[i]).raw();
   }
   const auto out = c.evaluate(in);
   for (int k = 0; k < 8; ++k) {
@@ -53,7 +54,7 @@ TEST(Kernels, Dct8MatchesDirectComputation) {
       expected += x[n] * scale * std::cos((2 * n + 1) * k * M_PI / 16.0);
     }
     const double got =
-        Q16::from_raw(out.at("X" + std::to_string(k))).to_double();
+        Q16::from_raw(out.at(concat("X", std::to_string(k)))).to_double();
     EXPECT_NEAR(got, expected, 0.02) << "coefficient " << k;
   }
 }
@@ -117,7 +118,7 @@ TEST(Kernels, ChecksumMatchesFletcherStyleReference) {
   std::int64_t a = 1, b = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t w = static_cast<std::int64_t>(i * 37 + 11);
-    in["w" + std::to_string(i)] = w;
+    in[concat("w", std::to_string(i))] = w;
     a = (a + w) & 65535;
     b = (b + a) & 65535;
   }

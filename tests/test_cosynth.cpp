@@ -8,6 +8,7 @@
 #include "apps/kernels.h"
 #include "apps/workloads.h"
 #include "base/rng.h"
+#include "base/table.h"
 #include "cosynth/asip.h"
 #include "cosynth/coproc.h"
 #include "cosynth/interface_synth.h"
@@ -15,12 +16,7 @@
 #include "cosynth/multiproc.h"
 #include "cosynth/run.h"
 #include "ir/task_graph_gen.h"
-
-// This file is the designated home of the deprecated per-target entry
-// points: it unit-tests their behaviour directly and proves run()
-// parity against them (RunDispatcher.*Parity below). Everything else in
-// the tree goes through cosynth::run / partition::run.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "obs/obs.h"
 
 namespace mhs::cosynth {
 namespace {
@@ -32,6 +28,14 @@ ir::TaskGraph small_graph(std::uint64_t seed, std::size_t n) {
   cfg.mean_sw_cycles = 1000.0;
   cfg.cost_spread = 2.0;
   return ir::generate_task_graph(cfg, rng);
+}
+
+AsipDesign asip(const std::vector<WeightedKernel>& apps,
+                double area_budget) {
+  Request req;
+  req.apps = apps;
+  req.area_budget = area_budget;
+  return *run(Target::kAsip, req).asip;
 }
 
 TEST(Multiproc, MakespanSinglePeIsSerialSum) {
@@ -179,19 +183,20 @@ TEST(InterfaceSynth, LatencyCriticalPicksPolling) {
     samples.push_back(in);
   }
 
-  InterfaceRequirements latency_first;
-  latency_first.latency_weight = 1.0;
+  Request req;
+  req.impl = &impl;
+  req.samples = &samples;
   AddressMapAllocator alloc1;
-  const InterfaceDesign d1 =
-      synthesize_interface(impl, latency_first, samples, alloc1);
+  req.allocator = &alloc1;
+  req.interface_reqs.latency_weight = 1.0;
+  const InterfaceDesign d1 = *run(Target::kInterface, req).iface;
   EXPECT_FALSE(d1.candidates[d1.selected].use_irq);
 
-  InterfaceRequirements throughput_first;
-  throughput_first.latency_weight = 0.0;
-  throughput_first.background_unroll = 8;
   AddressMapAllocator alloc2;
-  const InterfaceDesign d2 =
-      synthesize_interface(impl, throughput_first, samples, alloc2);
+  req.allocator = &alloc2;
+  req.interface_reqs.latency_weight = 0.0;
+  req.interface_reqs.background_unroll = 8;
+  const InterfaceDesign d2 = *run(Target::kInterface, req).iface;
   EXPECT_TRUE(d2.candidates[d2.selected].use_irq);
   // Both evaluated candidates agree functionally.
   EXPECT_EQ(d2.candidates[0].report.checksum,
@@ -218,10 +223,9 @@ TEST(Asip, BiggerBudgetMonotoneSpeedup) {
       {&storage[0], 1.0, "dct8"},
       {&storage[1], 1.0, "xtea8"},
   };
-  const sw::CpuModel base = sw::reference_cpu();
   double prev_speedup = 0.99;
   for (const double budget : {0.0, 300.0, 1000.0, 2500.0, 5000.0}) {
-    const AsipDesign d = synthesize_asip(apps_set, base, budget);
+    const AsipDesign d = asip(apps_set, budget);
     EXPECT_LE(d.area_used, budget + 1e-9);
     EXPECT_GE(d.speedup(), prev_speedup - 1e-9)
         << "budget " << budget;
@@ -235,8 +239,7 @@ TEST(Asip, PicksFeaturesMatchingHotSpots) {
   std::vector<ir::Cdfg> storage;
   storage.push_back(apps::dct8_kernel());
   std::vector<WeightedKernel> apps_set = {{&storage[0], 1.0, "dct8"}};
-  const AsipDesign d =
-      synthesize_asip(apps_set, sw::reference_cpu(), 950.0);
+  const AsipDesign d = asip(apps_set, 950.0);
   ASSERT_FALSE(d.features.empty());
   EXPECT_EQ(d.features[0], IsaFeature::kFastMul);
 }
@@ -264,7 +267,8 @@ TEST(Asip, ReconfigurableBeatsStaticUnderTightBudget) {
   ir::Cdfg divs("div_chain");
   ir::OpId v = divs.input("a");
   for (int i = 0; i < 10; ++i) {
-    v = divs.binary(ir::OpKind::kDiv, v, divs.input("d" + std::to_string(i)));
+    v = divs.binary(ir::OpKind::kDiv, v,
+                    divs.input(concat("d", std::to_string(i))));
   }
   divs.output("y", v);
 
@@ -277,7 +281,7 @@ TEST(Asip, ReconfigurableBeatsStaticUnderTightBudget) {
   };
   const sw::CpuModel base = sw::reference_cpu();
   const double budget = 2000.0;
-  const AsipDesign fixed = synthesize_sfu_static(apps_set, base, budget);
+  const AsipDesign fixed = asip(apps_set, budget);  // the static style
   const ReconfigSfuDesign flexible =
       synthesize_sfu_reconfigurable(apps_set, base, budget);
   EXPECT_GT(flexible.speedup(), fixed.speedup());
@@ -286,12 +290,14 @@ TEST(Asip, ReconfigurableBeatsStaticUnderTightBudget) {
 TEST(Coproc, StrategiesProduceConsistentDesigns) {
   const ir::TaskGraph g = apps::jpeg_pipeline_graph();
   const partition::CostModel model(g, hw::default_library());
-  partition::Objective obj;
-  obj.latency_target = g.total_sw_cycles() * 0.5;
+  Request req;
+  req.model = &model;
+  req.objective.latency_target = g.total_sw_cycles() * 0.5;
   for (const CoprocStrategy s :
        {CoprocStrategy::kHotSpot, CoprocStrategy::kUnload,
         CoprocStrategy::kKl, CoprocStrategy::kGclp}) {
-    const CoprocDesign d = synthesize_coprocessor(model, obj, s);
+    req.strategy = s;
+    const CoprocDesign d = *run(Target::kCoprocessor, req).coprocessor;
     EXPECT_EQ(d.partition.mapping.size(), g.num_tasks())
         << coproc_strategy_name(s);
     EXPECT_GT(d.all_sw_latency, 0.0);
@@ -337,8 +343,8 @@ TEST(MtCoproc, ConcurrencyAwareNoWorseThanGreedy) {
 }
 
 
-// -- The cosynth::run(Target, ...) dispatcher: bit-identical to the
-// legacy per-target free functions.
+// -- The cosynth::run(Target, ...) dispatcher. The *Golden cases pin each
+// target's full result on a fixed input as literals.
 
 TEST(RunDispatcher, TargetNamesAreStableAndDistinct) {
   std::set<std::string> names;
@@ -349,7 +355,7 @@ TEST(RunDispatcher, TargetNamesAreStableAndDistinct) {
                "multiproc_periodic");
 }
 
-TEST(RunDispatcher, CoprocessorParity) {
+TEST(RunDispatcher, CoprocessorGolden) {
   const ir::TaskGraph g = apps::jpeg_pipeline_graph();
   const partition::CostModel model(g, hw::default_library());
   Request req;
@@ -357,20 +363,27 @@ TEST(RunDispatcher, CoprocessorParity) {
   req.objective.latency_target = g.total_sw_cycles() * 0.5;
   req.strategy = CoprocStrategy::kKl;
   const Result r = run(Target::kCoprocessor, req);
-  const CoprocDesign legacy =
-      synthesize_coprocessor(model, req.objective, req.strategy);
   ASSERT_TRUE(r.coprocessor.has_value());
-  EXPECT_EQ(r.coprocessor->partition.mapping, legacy.partition.mapping);
-  EXPECT_EQ(r.coprocessor->partition.algorithm, legacy.partition.algorithm);
-  EXPECT_EQ(r.coprocessor->partition.evaluations,
-            legacy.partition.evaluations);
-  EXPECT_DOUBLE_EQ(r.coprocessor->all_sw_latency, legacy.all_sw_latency);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_DOUBLE_EQ(r.area(), legacy.area());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  const partition::PartitionResult& p = r.coprocessor->partition;
+  EXPECT_EQ(p.algorithm, "kl");
+  EXPECT_EQ(p.mapping, partition::Mapping(7, true));
+  EXPECT_EQ(p.evaluations, 58u);
+  EXPECT_EQ(p.metrics.latency_cycles, 4367.8333333333339);
+  EXPECT_EQ(p.metrics.hw_area, 21279.0);
+  EXPECT_EQ(p.metrics.sw_code_bytes, 0.0);
+  EXPECT_EQ(p.metrics.cross_comm_cycles, 0.0);
+  EXPECT_EQ(p.metrics.modifiability_penalty, 8020.0);
+  EXPECT_EQ(p.metrics.tasks_in_hw, 7u);
+  EXPECT_EQ(p.metrics.energy, 5431.7833333333338);
+  EXPECT_EQ(r.coprocessor->all_sw_latency, 25700.0);
+  EXPECT_EQ(r.latency(), 4367.8333333333339);
+  EXPECT_EQ(r.area(), 21279.0);
+  EXPECT_EQ(r.summary(),
+            "kl: 7 tasks in HW, latency 4367.8 cyc (5.88x over all-SW), "
+            "area 21279.0, 58 evaluations");
 }
 
-TEST(RunDispatcher, AsipParity) {
+TEST(RunDispatcher, AsipGolden) {
   std::vector<ir::Cdfg> storage;
   storage.push_back(apps::dct8_kernel());
   storage.push_back(apps::xtea_kernel(8));
@@ -379,18 +392,19 @@ TEST(RunDispatcher, AsipParity) {
   req.cpu = sw::reference_cpu();
   req.area_budget = 2500.0;
   const Result r = run(Target::kAsip, req);
-  const AsipDesign legacy =
-      synthesize_asip(req.apps, req.cpu, req.area_budget);
   ASSERT_TRUE(r.asip.has_value());
-  EXPECT_EQ(r.asip->features, legacy.features);
-  EXPECT_DOUBLE_EQ(r.asip->area_used, legacy.area_used);
-  EXPECT_DOUBLE_EQ(r.asip->base_cycles, legacy.base_cycles);
-  EXPECT_DOUBLE_EQ(r.asip->asip_cycles, legacy.asip_cycles);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  EXPECT_EQ(r.asip->features, (std::vector<IsaFeature>{
+                                  IsaFeature::kFastMul, IsaFeature::kFastMem}));
+  EXPECT_EQ(r.asip->area_used, 1500.0);
+  EXPECT_EQ(r.asip->base_cycles, 962.0);
+  EXPECT_EQ(r.asip->asip_cycles, 738.0);
+  EXPECT_EQ(r.latency(), 738.0);
+  EXPECT_EQ(r.summary(),
+            "asip: 2 ISA features [fast_mul fast_mem], 962.0 -> 738.0 "
+            "weighted cyc (1.30x), area 1500.0");
 }
 
-TEST(RunDispatcher, MixedParity) {
+TEST(RunDispatcher, MixedGolden) {
   const ir::TaskGraph g = small_graph(21, 6);
   const std::vector<const ir::Cdfg*> kernels(g.num_tasks(), nullptr);
   Request req;
@@ -400,22 +414,22 @@ TEST(RunDispatcher, MixedParity) {
   req.library = hw::default_library();
   req.area_budget = 2000.0;
   const Result r = run(Target::kMixed, req);
-  const MixedDesign legacy =
-      synthesize_mixed(g, kernels, req.cpu, req.library, req.area_budget,
-                       req.comm);
   ASSERT_TRUE(r.mixed.has_value());
-  EXPECT_EQ(r.mixed->features, legacy.features);
-  EXPECT_EQ(r.mixed->mapping, legacy.mapping);
-  EXPECT_DOUBLE_EQ(r.mixed->latency_cycles, legacy.latency_cycles);
-  EXPECT_DOUBLE_EQ(r.mixed->isa_area, legacy.isa_area);
-  EXPECT_DOUBLE_EQ(r.mixed->coproc_area, legacy.coproc_area);
-  EXPECT_EQ(r.mixed->feature_subsets_tried, legacy.feature_subsets_tried);
-  EXPECT_EQ(r.mixed->partition_evaluations, legacy.partition_evaluations);
-  EXPECT_DOUBLE_EQ(r.area(), legacy.area());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  EXPECT_TRUE(r.mixed->features.empty());
+  EXPECT_EQ(r.mixed->mapping,
+            (partition::Mapping{false, false, false, false, true, true}));
+  EXPECT_EQ(r.mixed->latency_cycles, 5807.7300126364489);
+  EXPECT_EQ(r.mixed->isa_area, 0.0);
+  EXPECT_EQ(r.mixed->coproc_area, 1758.6979082758128);
+  EXPECT_EQ(r.mixed->feature_subsets_tried, 34u);
+  EXPECT_EQ(r.mixed->partition_evaluations, 950u);
+  EXPECT_EQ(r.area(), 1758.6979082758128);
+  EXPECT_EQ(r.summary(),
+            "mixed type I/II: 0 ISA features + 2 offloaded tasks, latency "
+            "5807.7 cyc, area 1758.7 (isa 0.0 + coproc 1758.7)");
 }
 
-TEST(RunDispatcher, InterfaceParity) {
+TEST(RunDispatcher, InterfaceGolden) {
   const ir::Cdfg kernel = apps::fir_kernel(6);
   hw::HlsConstraints constraints;
   constraints.goal = hw::HlsGoal::kMinArea;
@@ -434,31 +448,39 @@ TEST(RunDispatcher, InterfaceParity) {
   Request req;
   req.impl = &impl;
   req.samples = &samples;
-  // Fresh allocators starting at the same base keep the address maps
-  // comparable.
-  AddressMapAllocator alloc_run;
-  AddressMapAllocator alloc_legacy;
-  req.allocator = &alloc_run;
+  AddressMapAllocator allocator;
+  req.allocator = &allocator;
   const Result r = run(Target::kInterface, req);
-  const InterfaceDesign legacy = synthesize_interface(
-      impl, req.interface_reqs, samples, alloc_legacy);
   ASSERT_TRUE(r.iface.has_value());
-  EXPECT_EQ(r.iface->base_address, legacy.base_address);
-  EXPECT_EQ(r.iface->selected, legacy.selected);
-  ASSERT_EQ(r.iface->candidates.size(), legacy.candidates.size());
-  for (std::size_t i = 0; i < legacy.candidates.size(); ++i) {
-    EXPECT_EQ(r.iface->candidates[i].use_irq, legacy.candidates[i].use_irq);
-    EXPECT_DOUBLE_EQ(r.iface->candidates[i].score,
-                     legacy.candidates[i].score);
-    EXPECT_EQ(r.iface->candidates[i].report.checksum,
-              legacy.candidates[i].report.checksum);
+  EXPECT_EQ(r.iface->base_address, 0x10000u);
+  EXPECT_EQ(r.iface->selected, 1u);
+  EXPECT_EQ(r.iface->driver.code.size(), 38u);
+  struct Candidate {
+    bool use_irq;
+    double score, cycles_per_sample, background_per_sample, total_cycles;
+    std::uint64_t sim_events;
+  };
+  const Candidate want[] = {
+      {false, 0.5, 91.0, 0.0, 546.0, 72},
+      {true, 0.051282051282051211, 100.33333333333333, 8.0, 602.0, 60},
+  };
+  ASSERT_EQ(r.iface->candidates.size(), std::size(want));
+  for (std::size_t i = 0; i < std::size(want); ++i) {
+    const DriverCandidate& got = r.iface->candidates[i];
+    EXPECT_EQ(got.use_irq, want[i].use_irq) << i;
+    EXPECT_EQ(got.score, want[i].score) << i;
+    EXPECT_EQ(got.cycles_per_sample, want[i].cycles_per_sample) << i;
+    EXPECT_EQ(got.background_per_sample, want[i].background_per_sample)
+        << i;
+    EXPECT_EQ(got.report.total_cycles, want[i].total_cycles) << i;
+    EXPECT_EQ(got.report.sim_events, want[i].sim_events) << i;
+    EXPECT_EQ(got.report.checksum, -19) << i;
   }
-  EXPECT_EQ(r.iface->driver.code.size(), legacy.driver.code.size());
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  EXPECT_EQ(r.latency(), 100.33333333333333);
+  EXPECT_EQ(r.summary(), "interface: irq driver at 0x10000, 100.3 cyc/sample");
 }
 
-TEST(RunDispatcher, ImplSelectParity) {
+TEST(RunDispatcher, ImplSelectGolden) {
   Request req;
   req.menus = {
       {"fir", 2.0, {{"min_area", 100.0, 900.0}, {"fast", 400.0, 300.0}}},
@@ -466,39 +488,82 @@ TEST(RunDispatcher, ImplSelectParity) {
   };
   req.area_budget = 900.0;
   const Result r = run(Target::kImplSelect, req);
-  const ImplSelection legacy =
-      select_implementations(req.menus, req.area_budget);
   ASSERT_TRUE(r.impl_select.has_value());
-  EXPECT_EQ(r.impl_select->chosen, legacy.chosen);
-  EXPECT_DOUBLE_EQ(r.impl_select->total_area, legacy.total_area);
-  EXPECT_DOUBLE_EQ(r.impl_select->total_weighted_cycles,
-                   legacy.total_weighted_cycles);
-  EXPECT_EQ(r.impl_select->explored, legacy.explored);
-  EXPECT_EQ(r.impl_select->feasible, legacy.feasible);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  EXPECT_EQ(r.impl_select->chosen, (std::vector<std::size_t>{1, 0}));
+  EXPECT_EQ(r.impl_select->total_area, 650.0);
+  EXPECT_EQ(r.impl_select->total_weighted_cycles, 1800.0);
+  EXPECT_EQ(r.impl_select->explored, 5u);
+  EXPECT_TRUE(r.impl_select->feasible);
+  EXPECT_EQ(r.latency(), 1800.0);
+  EXPECT_EQ(r.summary(),
+            "impl select: feasible, 2 menus, weighted cycles 1800.0, area "
+            "650.0, 5 nodes explored");
 }
 
-TEST(RunDispatcher, MultiprocPeriodicParity) {
+TEST(RunDispatcher, MultiprocPeriodicGolden) {
   ir::TaskGraph g = small_graph(22, 8);
   Rng rng(23);
   for (const ir::TaskId t : g.task_ids()) {
     g.task(t).period = g.task(t).costs.sw_cycles * rng.uniform(4.0, 20.0);
   }
   Request req;
-  req.graph = &g;  // empty catalog: dispatcher supplies the default
+  req.graph = &g;  // empty catalog: the target uses default_pe_catalog()
   const Result r = run(Target::kMultiprocPeriodic, req);
-  const MpDesign legacy = synthesize_periodic(g, default_pe_catalog());
   ASSERT_TRUE(r.multiproc.has_value());
-  EXPECT_EQ(r.multiproc->instance_type, legacy.instance_type);
-  EXPECT_EQ(r.multiproc->assignment, legacy.assignment);
-  EXPECT_DOUBLE_EQ(r.multiproc->cost, legacy.cost);
-  EXPECT_DOUBLE_EQ(r.multiproc->makespan, legacy.makespan);
-  EXPECT_EQ(r.multiproc->feasible, legacy.feasible);
-  EXPECT_EQ(r.multiproc->effort, legacy.effort);
-  EXPECT_DOUBLE_EQ(r.latency(), legacy.latency());
-  EXPECT_DOUBLE_EQ(r.area(), legacy.area());
-  EXPECT_EQ(r.summary(), legacy.summary());
+  EXPECT_EQ(r.multiproc->instance_type,
+            (std::vector<std::size_t>{0, 0, 0, 0, 0}));
+  EXPECT_EQ(r.multiproc->assignment,
+            (std::vector<std::size_t>{3, 3, 2, 1, 0, 4, 2, 1}));
+  EXPECT_EQ(r.multiproc->cost, 1500.0);
+  EXPECT_EQ(r.multiproc->makespan, 0.80972447047083917);
+  EXPECT_TRUE(r.multiproc->feasible);
+  EXPECT_EQ(r.multiproc->effort, 4u);
+  EXPECT_EQ(r.area(), 1500.0);
+  EXPECT_EQ(r.summary(),
+            "multiproc: feasible, 5 PEs, makespan 0.8 cyc, cost 1500.0, "
+            "effort 4");
+}
+
+TEST(RunDispatcher, LayersBelowRecordIntoTheRequestTraceSink) {
+  // The partition runs of kCoprocessor and kMixed and the evaluation
+  // co-simulations of kInterface must record into request.trace_sink,
+  // not into the installed global registry.
+  obs::Registry global;
+  const obs::ScopedRegistry scope(global);
+
+  const ir::TaskGraph jpeg = apps::jpeg_pipeline_graph();
+  const partition::CostModel model(jpeg, hw::default_library());
+  const ir::TaskGraph g = small_graph(21, 6);
+  const std::vector<const ir::Cdfg*> kernels(g.num_tasks(), nullptr);
+  const ir::Cdfg kernel = apps::fir_kernel(4);
+  const hw::ComponentLibrary library = hw::default_library();
+  const hw::HlsResult impl = hw::synthesize(kernel, library, {});
+  const std::vector<std::vector<std::int64_t>> samples(
+      2, std::vector<std::int64_t>(kernel.inputs().size(), 3));
+  AddressMapAllocator allocator;
+
+  Request req;
+  req.model = &model;
+  req.objective.latency_target = jpeg.total_sw_cycles() * 0.5;
+  req.graph = &g;
+  req.kernels = &kernels;
+  req.area_budget = 2000.0;
+  req.impl = &impl;
+  req.samples = &samples;
+  req.allocator = &allocator;
+  const std::pair<Target, const char*> cases[] = {
+      {Target::kCoprocessor, "partition.kl.runs"},
+      {Target::kMixed, "partition.kl.runs"},
+      {Target::kInterface, "cosim.runs"},
+  };
+  for (const auto& [target, counter] : cases) {
+    obs::Registry sink;
+    req.trace_sink = &sink;
+    run(target, req);
+    EXPECT_GT(sink.counter(counter), 0u) << target_name(target);
+  }
+  EXPECT_EQ(global.counter("partition.kl.runs"), 0u);
+  EXPECT_EQ(global.counter("cosim.runs"), 0u);
 }
 
 TEST(RunDispatcher, MissingRequiredInputsAreChecked) {

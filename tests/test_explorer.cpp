@@ -149,30 +149,18 @@ TEST(ConcurrentCache, ConcurrentHammerStaysConsistent) {
   EXPECT_EQ(cache.hits() + cache.misses(), 512u);
 }
 
-TEST(PartitionRun, DispatcherMatchesWrappers) {
+TEST(PartitionRun, EveryStrategyReportsItsName) {
   const ir::TaskGraph g = make_graph();
   const partition::CostModel model(g, hw::default_library());
   partition::Objective obj;
   obj.latency_target = 0.5 * g.total_sw_cycles();
-
-  const partition::PartitionResult via_run =
-      partition::run(partition::Strategy::kHotSpot, model, obj);
-  // Parity coverage of the deprecated wrapper spelling on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const partition::PartitionResult via_wrapper =
-      partition::partition_hot_spot(model, obj);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(via_run.algorithm, "hot_spot");
-  EXPECT_EQ(via_run.mapping, via_wrapper.mapping);
-  EXPECT_EQ(via_run.metrics.energy, via_wrapper.metrics.energy);
-  EXPECT_EQ(via_run.evaluations, via_wrapper.evaluations);
-
   for (const partition::Strategy s : partition::kAllStrategies) {
     const partition::PartitionResult r = partition::run(s, model, obj);
     EXPECT_EQ(r.algorithm, partition::strategy_name(s));
     EXPECT_EQ(r.mapping.size(), g.num_tasks());
   }
+  EXPECT_STREQ(partition::strategy_name(partition::Strategy::kHotSpot),
+               "hot_spot");
 }
 
 TEST(Explorer, DeterministicAcrossThreadCounts) {

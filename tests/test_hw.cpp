@@ -4,6 +4,7 @@
 
 #include "apps/kernels.h"
 #include "base/rng.h"
+#include "base/table.h"
 #include "hw/binding.h"
 #include "hw/estimate.h"
 #include "hw/fsm.h"
@@ -147,7 +148,7 @@ TEST(Binding, NeverExceedsSchedulePeak) {
     ir::Cdfg c("rand");
     std::vector<ir::OpId> values;
     for (int i = 0; i < 4; ++i) {
-      values.push_back(c.input("x" + std::to_string(i)));
+      values.push_back(c.input(concat("x", std::to_string(i))));
     }
     for (int i = 0; i < 12; ++i) {
       const ir::OpId a = values[static_cast<std::size_t>(

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/kernels.h"
+#include "base/table.h"
 #include "cosynth/run.h"
 
 namespace mhs::cosynth {
@@ -15,7 +16,7 @@ ImplMenu toy_menu(const char* name, double weight,
   int i = 0;
   for (const auto& [area, cycles] : av) {
     menu.variants.push_back(
-        ImplVariant{"v" + std::to_string(i++), area, cycles});
+        ImplVariant{concat("v", std::to_string(i++)), area, cycles});
   }
   return menu;
 }

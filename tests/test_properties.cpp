@@ -7,6 +7,7 @@
 #include "apps/workloads.h"
 #include "base/rng.h"
 #include "base/stats.h"
+#include "base/table.h"
 #include "hw/binding.h"
 #include "hw/estimate.h"
 #include "hw/hls.h"
@@ -27,7 +28,7 @@ ir::Cdfg random_kernel(Rng& rng, std::size_t inputs, std::size_t ops) {
   ir::Cdfg c("prop");
   std::vector<ir::OpId> vals;
   for (std::size_t i = 0; i < inputs; ++i) {
-    vals.push_back(c.input("x" + std::to_string(i)));
+    vals.push_back(c.input(concat("x", std::to_string(i))));
   }
   vals.push_back(c.constant(rng.uniform_int(-64, 64)));
   const ir::OpKind kinds[] = {

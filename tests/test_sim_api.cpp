@@ -1,12 +1,10 @@
-// Old-vs-new API parity for the sim::run seam.
+// Golden tests for the sim::run seam.
 //
-// This is the designated legacy-parity suite: the deprecated entry
-// points (run_cosim, run_message_cosim, run_system_cosim) are called
-// directly — under a scoped deprecation suppression — and their results
-// compared bit-for-bit against sim::run with the same inputs, across
-// every interface level, with and without a seeded fault plan, and under
-// 1/2/4/8-thread batches. Everything else in the tree must go through
-// sim::run; this file is where the old and new APIs are pinned equal.
+// The results of every simulation level are pinned as literals: the
+// accelerator co-simulation at every interface level, with and without a
+// seeded fault plan (every CosimReport field, the Profile buckets and the
+// fault scoreboard), the process level and the system level. The seam
+// must also give bit-identical reports under 1/2/4/8-thread batches.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -42,135 +40,173 @@ std::vector<std::vector<std::int64_t>> random_samples(
   return samples;
 }
 
-/// Every field of two CosimReports, bit for bit — including the Profile
-/// bucket per category and the fault scoreboard.
-void expect_identical(const CosimReport& a, const CosimReport& b) {
-  EXPECT_EQ(a.level, b.level);
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.sw_instructions, b.sw_instructions);
-  EXPECT_EQ(a.bus_accesses, b.bus_accesses);
-  EXPECT_EQ(a.bus_busy_cycles, b.bus_busy_cycles);
-  EXPECT_EQ(a.signal_transitions, b.signal_transitions);
-  EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_EQ(a.background_units, b.background_units);
-  EXPECT_EQ(a.hw_activations, b.hw_activations);
-  EXPECT_EQ(a.profile.total(), b.profile.total());
+/// One accelerator co-simulation's report, every field.
+struct CosimGolden {
+  InterfaceLevel level;
+  bool use_irq;
+  double total_cycles;
+  std::uint64_t sim_events, sw_instructions, bus_accesses;
+  Time bus_busy_cycles;
+  std::uint64_t signal_transitions;
+  std::int64_t checksum, background_units;
+  std::uint64_t hw_activations;
+  std::uint64_t profile[obs::Profile::kNumCategories];
+  std::uint64_t profile_total;
+  fault::ResilienceReport resilience;
+};
+
+void expect_golden(const CosimReport& r, const CosimGolden& g) {
+  const std::string what = std::string(interface_level_name(g.level)) +
+                           (g.use_irq ? "+irq" : "");
+  EXPECT_EQ(r.level, g.level) << what;
+  EXPECT_EQ(r.total_cycles, g.total_cycles) << what;
+  EXPECT_EQ(r.sim_events, g.sim_events) << what;
+  EXPECT_EQ(r.sw_instructions, g.sw_instructions) << what;
+  EXPECT_EQ(r.bus_accesses, g.bus_accesses) << what;
+  EXPECT_EQ(r.bus_busy_cycles, g.bus_busy_cycles) << what;
+  EXPECT_EQ(r.signal_transitions, g.signal_transitions) << what;
+  EXPECT_EQ(r.checksum, g.checksum) << what;
+  EXPECT_EQ(r.background_units, g.background_units) << what;
+  EXPECT_EQ(r.hw_activations, g.hw_activations) << what;
+  EXPECT_EQ(r.profile.total(), g.profile_total) << what;
   for (std::size_t c = 0; c < obs::Profile::kNumCategories; ++c) {
     const auto cat = static_cast<obs::Profile::Category>(c);
-    EXPECT_EQ(a.profile.cycles(cat), b.profile.cycles(cat))
-        << "profile category " << obs::Profile::category_name(cat);
+    EXPECT_EQ(r.profile.cycles(cat), g.profile[c])
+        << what << " profile category " << obs::Profile::category_name(cat);
   }
-  EXPECT_EQ(a.resilience, b.resilience);
+  EXPECT_EQ(r.resilience, g.resilience) << what;
 }
 
-// This suite is the sanctioned direct consumer of the deprecated entry
-// points: parity needs both sides of the seam. The suppression is scoped
-// to this file on purpose.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+CosimGolden snapshot(const CosimReport& r, bool use_irq) {
+  CosimGolden g{r.level, use_irq, r.total_cycles, r.sim_events,
+                r.sw_instructions, r.bus_accesses, r.bus_busy_cycles,
+                r.signal_transitions, r.checksum, r.background_units,
+                r.hw_activations, {}, r.profile.total(), r.resilience};
+  for (std::size_t c = 0; c < obs::Profile::kNumCategories; ++c) {
+    g.profile[c] = r.profile.cycles(static_cast<obs::Profile::Category>(c));
+  }
+  return g;
+}
 
-TEST(SimRunParity, AcceleratorMatchesLegacyAtEveryInterfaceLevel) {
+SimResult cosim(const hw::HlsResult& impl,
+                const std::vector<std::vector<std::int64_t>>& samples,
+                const CosimConfig& cfg) {
+  SimRequest req;
+  req.impl = &impl;
+  req.samples = &samples;
+  req.cosim = cfg;
+  return run(req);
+}
+
+TEST(SimRunGolden, AcceleratorAtEveryInterfaceLevel) {
   const ir::Cdfg kernel = apps::fir_kernel(6);
   const hw::HlsResult impl = make_impl(kernel);
   const auto samples = random_samples(kernel, 12, 7);
-  for (const InterfaceLevel level : kAllInterfaceLevels) {
-    for (const bool use_irq : {false, true}) {
-      if (use_irq && level != InterfaceLevel::kPin &&
-          level != InterfaceLevel::kRegister) {
-        continue;  // irq drivers exist only at the ISS levels
-      }
-      CosimConfig cfg;
-      cfg.level = level;
-      cfg.use_irq = use_irq;
-      cfg.background_unroll = use_irq ? 2 : 0;
-      const CosimReport legacy = run_cosim(impl, cfg, samples);
-      SimRequest req;
-      req.impl = &impl;
-      req.samples = &samples;
-      req.cosim = cfg;
-      const SimResult result = run(req);
-      ASSERT_TRUE(result.cosim.has_value());
-      EXPECT_FALSE(result.os.has_value());
-      EXPECT_FALSE(result.system.has_value());
-      expect_identical(*result.cosim, legacy);
-      EXPECT_EQ(result.total_cycles(), legacy.total_cycles);
-      EXPECT_EQ(result.sim_events(), legacy.sim_events);
-      EXPECT_NE(result.summary().find(interface_level_name(level)),
-                std::string::npos);
-    }
+  const CosimGolden goldens[] = {
+      {InterfaceLevel::kPin, false, 1086.0, 828, 319, 132, 528, 684,
+       -527, 0, 12, {558, 528, 0, 0, 0, 0}, 1086, {}},
+      {InterfaceLevel::kPin, true, 1220.0, 708, 440, 108, 432, 564,
+       -527, 72, 12, {788, 432, 0, 0, 0, 0}, 1220, {}},
+      {InterfaceLevel::kRegister, false, 1086.0, 144, 319, 132, 528, 0,
+       -527, 0, 12, {558, 528, 0, 0, 0, 0}, 1086, {}},
+      {InterfaceLevel::kRegister, true, 1220.0, 120, 440, 108, 432, 0,
+       -527, 72, 12, {788, 432, 0, 0, 0, 0}, 1220, {}},
+      {InterfaceLevel::kDriver, false, 1176.0, 36, 0, 24, 648, 0,
+       -527, 0, 12, {360, 648, 0, 168, 0, 0}, 1176, {}},
+      {InterfaceLevel::kMessage, false, 4968.0, 24, 0, 24, 4800, 0,
+       -527, 0, 12, {0, 4800, 0, 168, 0, 0}, 4968, {}},
+  };
+  for (const CosimGolden& g : goldens) {
+    CosimConfig cfg;
+    cfg.level = g.level;
+    cfg.use_irq = g.use_irq;
+    cfg.background_unroll = g.use_irq ? 2 : 0;
+    const SimResult result = cosim(impl, samples, cfg);
+    ASSERT_TRUE(result.cosim.has_value());
+    EXPECT_FALSE(result.os.has_value());
+    EXPECT_FALSE(result.system.has_value());
+    expect_golden(*result.cosim, g);
+    EXPECT_EQ(result.total_cycles(), g.total_cycles);
+    EXPECT_EQ(result.sim_events(), g.sim_events);
+    EXPECT_NE(result.summary().find(interface_level_name(g.level)),
+              std::string::npos);
   }
 }
 
-TEST(SimRunParity, AcceleratorMatchesLegacyUnderASeededFaultPlan) {
+TEST(SimRunGolden, AcceleratorUnderASeededFaultPlan) {
   const ir::Cdfg kernel = apps::fir_kernel(4);
   const hw::HlsResult impl = make_impl(kernel);
   const auto samples = random_samples(kernel, 8, 21);
-  for (const InterfaceLevel level : kAllInterfaceLevels) {
+  const CosimGolden goldens[] = {
+      {InterfaceLevel::kPin, false, 983.0, 580, 384, 100, 400, 488,
+       52776558132232, 0, 8, {583, 400, 0, 0, 0, 0}, 983,
+       {9, 0, 0, 0, 0, 0, {5, 0, 0, 0, 4, 0, 0}}},
+      {InterfaceLevel::kRegister, false, 983.0, 108, 384, 100, 400, 0,
+       52776558132232, 0, 8, {583, 400, 0, 0, 0, 0}, 983,
+       {9, 0, 0, 0, 0, 0, {5, 0, 0, 0, 4, 0, 0}}},
+      {InterfaceLevel::kDriver, false, 1590.0, 33, 0, 21, 540, 0,
+       -52776558134264, 0, 13, {390, 540, 0, 240, 420, 0}, 1590,
+       {10, 5, 5, 5, 0, 500, {3, 0, 0, 0, 7, 0, 0}}},
+      {InterfaceLevel::kMessage, false, 5064.0, 22, 0, 22, 4400, 0,
+       -68942815036408, 0, 8, {0, 4400, 0, 160, 504, 0}, 5064,
+       {8, 6, 6, 6, 0, 2540, {1, 0, 0, 0, 7, 0, 0}}},
+  };
+  for (const CosimGolden& g : goldens) {
     CosimConfig cfg;
-    cfg.level = level;
+    cfg.level = g.level;
     cfg.fault_plan.add(fault::FaultSpec::peripheral_stall(0.5, 80))
         .add(fault::FaultSpec::bus_bit_flip(0.05))
         .add(fault::FaultSpec::peripheral_hang(0.05));
     cfg.fault_seed = 77;
-    const CosimReport legacy = run_cosim(impl, cfg, samples);
-    EXPECT_GT(legacy.resilience.injected, 0u);
-    SimRequest req;
-    req.impl = &impl;
-    req.samples = &samples;
-    req.cosim = cfg;
-    const SimResult result = run(req);
+    const SimResult result = cosim(impl, samples, cfg);
     ASSERT_TRUE(result.cosim.has_value());
-    expect_identical(*result.cosim, legacy);
+    expect_golden(*result.cosim, g);
   }
 }
 
-TEST(SimRunParity, ProcessLevelMatchesLegacy) {
+TEST(SimRunGolden, ProcessLevel) {
   const ir::ProcessNetwork net = apps::packet_pipeline_network();
   std::vector<bool> in_hw(net.num_processes(), false);
   in_hw[1] = true;
-  OsCosimConfig cfg;
-  cfg.iterations = 32;
-  const OsCosimResult legacy = run_message_cosim(net, in_hw, cfg);
   SimRequest req;
   req.level = Level::kProcess;
   req.network = &net;
   req.in_hw = &in_hw;
-  req.os = cfg;
+  req.os.iterations = 32;
   const SimResult result = run(req);
   ASSERT_TRUE(result.os.has_value());
-  EXPECT_EQ(result.os->makespan, legacy.makespan);
-  EXPECT_EQ(result.os->sim_events, legacy.sim_events);
-  EXPECT_EQ(result.os->cpu_busy_cycles, legacy.cpu_busy_cycles);
-  EXPECT_EQ(result.os->hw_busy_cycles, legacy.hw_busy_cycles);
-  EXPECT_EQ(result.os->comm_cycles, legacy.comm_cycles);
-  EXPECT_EQ(result.os->cross_comm_cycles, legacy.cross_comm_cycles);
-  EXPECT_EQ(result.os->channel_messages, legacy.channel_messages);
-  EXPECT_EQ(result.os->deadlocked, legacy.deadlocked);
-  EXPECT_EQ(result.total_cycles(), legacy.makespan);
-  EXPECT_EQ(result.sim_events(), legacy.sim_events);
+  EXPECT_EQ(result.os->makespan, 154920.0);
+  EXPECT_EQ(result.os->sim_events, 449u);
+  EXPECT_EQ(result.os->cpu_busy_cycles, 154920.0);
+  EXPECT_EQ(result.os->hw_busy_cycles, 4114.2857142857129);
+  EXPECT_EQ(result.os->comm_cycles, 12736.0);
+  EXPECT_EQ(result.os->cross_comm_cycles, 9728.0);
+  EXPECT_EQ(result.os->channel_messages,
+            (std::vector<std::uint64_t>{32, 32, 32, 32, 32}));
+  EXPECT_FALSE(result.os->deadlocked);
+  EXPECT_EQ(result.total_cycles(), 154920.0);
+  EXPECT_EQ(result.sim_events(), 449u);
 }
 
-TEST(SimRunParity, SystemLevelMatchesLegacy) {
+TEST(SimRunGolden, SystemLevel) {
   apps::KernelBackedWorkload w = apps::dsp_chain_workload();
   partition::Mapping mapping(w.graph.num_tasks(), false);
   for (std::size_t i = 0; i < mapping.size(); i += 2) mapping[i] = true;
-  const SystemCosimConfig cfg;
-  const SystemCosimResult legacy = run_system_cosim(w.graph, mapping, cfg);
   SimRequest req;
   req.level = Level::kSystem;
   req.graph = &w.graph;
   req.mapping = &mapping;
-  req.system = cfg;
   const SimResult result = run(req);
   ASSERT_TRUE(result.system.has_value());
-  EXPECT_EQ(result.system->makespan, legacy.makespan);
-  EXPECT_EQ(result.system->start, legacy.start);
-  EXPECT_EQ(result.system->finish, legacy.finish);
-  EXPECT_EQ(result.system->cpu_busy, legacy.cpu_busy);
-  EXPECT_EQ(result.system->bus_busy, legacy.bus_busy);
-  EXPECT_EQ(result.system->bus_wait, legacy.bus_wait);
-  EXPECT_EQ(result.system->sim_events, legacy.sim_events);
+  EXPECT_EQ(result.system->makespan, 1396.0);
+  EXPECT_EQ(result.system->start,
+            (std::vector<double>{0.0, 348.0, 388.0, 428.0, 468.0, 496.0}));
+  EXPECT_EQ(result.system->finish,
+            (std::vector<double>{300.0, 348.0, 388.0, 428.0, 468.0, 1396.0}));
+  EXPECT_EQ(result.system->cpu_busy, 900.0);
+  EXPECT_EQ(result.system->bus_busy, 196.0);
+  EXPECT_EQ(result.system->bus_wait, 0.0);
+  EXPECT_EQ(result.system->sim_events, 11u);
 }
 
 TEST(SimRunParity, ThreadCountDoesNotChangeResults) {
@@ -191,11 +227,7 @@ TEST(SimRunParity, ThreadCountDoesNotChangeResults) {
         cfg.fault_plan.add(fault::FaultSpec::peripheral_stall(0.4, 60));
         cfg.fault_seed = 100 + i;
       }
-      SimRequest req;
-      req.impl = &impl;
-      req.samples = &samples;
-      req.cosim = cfg;
-      out[i] = run(req).cosim.value();
+      out[i] = cosim(impl, samples, cfg).cosim.value();
     });
     return out;
   };
@@ -203,12 +235,10 @@ TEST(SimRunParity, ThreadCountDoesNotChangeResults) {
   for (const std::size_t threads : {2u, 4u, 8u}) {
     const std::vector<CosimReport> got = run_batch(threads);
     for (std::size_t i = 0; i < kRuns; ++i) {
-      expect_identical(got[i], baseline[i]);
+      expect_golden(got[i], snapshot(baseline[i], false));
     }
   }
 }
-
-#pragma GCC diagnostic pop
 
 TEST(SimRunApi, LevelNamesRoundTripAndRejectUnknown) {
   for (const Level level : kAllLevels) {

@@ -4,6 +4,7 @@
 
 #include "apps/kernels.h"
 #include "base/rng.h"
+#include "base/table.h"
 #include "hw/hls.h"
 #include "sim/bus.h"
 #include "sim/vcd.h"
@@ -71,7 +72,7 @@ TEST(Vcd, MultiCharIdentifiersStayUnique) {
   std::vector<std::unique_ptr<sim::Wire>> wires;
   for (int i = 0; i < 100; ++i) {
     wires.push_back(std::make_unique<sim::Wire>(
-        sim, "w" + std::to_string(i)));
+        sim, concat("w", std::to_string(i))));
     vcd.trace(*wires.back());
   }
   EXPECT_EQ(vcd.num_signals(), 100u);
@@ -97,8 +98,8 @@ TEST(NewKernels, MatmulMatchesReference) {
     for (std::size_t k = 0; k < n; ++k) {
       a[r][k] = rng.uniform_int(-50, 50);
       b[r][k] = rng.uniform_int(-50, 50);
-      in["a" + std::to_string(r) + std::to_string(k)] = a[r][k];
-      in["b" + std::to_string(r) + std::to_string(k)] = b[r][k];
+      in[concat("a", std::to_string(r), std::to_string(k))] = a[r][k];
+      in[concat("b", std::to_string(r), std::to_string(k))] = b[r][k];
     }
   }
   const auto out = c.evaluate(in);
@@ -106,7 +107,7 @@ TEST(NewKernels, MatmulMatchesReference) {
     for (std::size_t k = 0; k < n; ++k) {
       std::int64_t expected = 0;
       for (std::size_t j = 0; j < n; ++j) expected += a[r][j] * b[j][k];
-      EXPECT_EQ(out.at("c" + std::to_string(r) + std::to_string(k)),
+      EXPECT_EQ(out.at(concat("c", std::to_string(r), std::to_string(k))),
                 expected);
     }
   }
@@ -118,7 +119,7 @@ TEST(NewKernels, SobelDetectsEdges) {
   std::map<std::string, std::int64_t> flat;
   for (int r = 0; r < 3; ++r) {
     for (int k = 0; k < 3; ++k) {
-      flat["p" + std::to_string(r) + std::to_string(k)] = 7;
+      flat[concat("p", std::to_string(r), std::to_string(k))] = 7;
     }
   }
   EXPECT_EQ(c.evaluate(flat).at("mag"), 0);
@@ -127,7 +128,7 @@ TEST(NewKernels, SobelDetectsEdges) {
   std::map<std::string, std::int64_t> edge;
   for (int r = 0; r < 3; ++r) {
     for (int k = 0; k < 3; ++k) {
-      edge["p" + std::to_string(r) + std::to_string(k)] = k == 2 ? 10 : 0;
+      edge[concat("p", std::to_string(r), std::to_string(k))] = k == 2 ? 10 : 0;
     }
   }
   EXPECT_EQ(c.evaluate(edge).at("mag"), 40);
