@@ -63,10 +63,14 @@ void run() {
       detail += apps_set[i].name + "->" +
                 cosynth::isa_feature_name(flexible.per_app_feature[i]);
     }
+    std::string shared_set;
+    for (const cosynth::IsaFeature feature : fixed.features) {
+      if (!shared_set.empty()) shared_set += " ";
+      shared_set += cosynth::isa_feature_name(feature);
+    }
     table.add_row({fmt(budget, 0), "static",
                    fmt(fixed.speedup(), 3), fmt(fixed.area_used, 0),
-                   "shared set: " +
-                       std::string(fixed.features.empty() ? "-" : "")});
+                   "shared set: " + (shared_set.empty() ? "-" : shared_set)});
     table.add_row({fmt(budget, 0), "reconfigurable",
                    fmt(flexible.speedup(), 3),
                    fmt(flexible.area_used, 0), detail});

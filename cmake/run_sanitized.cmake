@@ -1,43 +1,35 @@
-# Tier-2 sanitizer gate (driven by the `sanitize_core` ctest).
+# Tier-2 sanitizer gates (driven by the `sanitize_core` and
+# `sanitize_thread` ctests).
 #
 # Configures a nested build of this source tree with
-# MHS_SANITIZE=address,undefined, builds the core test suites plus one
-# bench and the bench_report tool, then runs them all under the
-# instrumented binaries. Any ASan/UBSan finding (leak, OOB, UB) makes a
-# suite exit non-zero and fails the test.
+# MHS_SANITIZE=${SANITIZERS}, builds the listed test suites, then runs
+# them under the instrumented binaries. Any sanitizer finding (leak, OOB,
+# UB, data race) makes a suite exit non-zero and fails the test.
 #
 # Inputs (via -D):
 #   SOURCE_DIR - repository root
 #   WORK_DIR   - scratch directory for the nested build
-if(NOT SOURCE_DIR OR NOT WORK_DIR)
-  message(FATAL_ERROR "run_sanitized.cmake needs -DSOURCE_DIR and -DWORK_DIR")
+#   SANITIZERS - MHS_SANITIZE value, e.g. "address,undefined" or "thread"
+#   SUITES     - comma-separated test executables under tests/ to build
+#                and run
+#   EXTRAS     - ON to also run equiv_fuzz at a reduced iteration count
+#                and one bench through bench_report --check
+if(NOT SOURCE_DIR OR NOT WORK_DIR OR NOT SANITIZERS OR NOT SUITES)
+  message(FATAL_ERROR "run_sanitized.cmake needs -DSOURCE_DIR, -DWORK_DIR, "
+                      "-DSANITIZERS and -DSUITES")
 endif()
 
 set(build_dir "${WORK_DIR}/build")
 file(MAKE_DIRECTORY "${build_dir}")
-
-# The suites that exercise the memory-heavy subsystems: containers and
-# threading (base), the IR and its serializers, the JSON parser (obs),
-# the new verifier/lints (analysis + lint CLI), the multi-threaded
-# explorer, the fault injector (unit suite plus the 500-plan fuzz
-# harness, whose adversarial inputs are exactly what sanitizers are
-# for), the value-range abstract interpreter (unit suite plus the
-# 10k-kernel soundness fuzzer, whose random arithmetic probes the i64
-# corner cases UBSan exists to catch), the service daemon (sockets,
-# the worker pool, and request coalescing — the tree's most
-# concurrency-dense code), and the RtlSim differential equivalence
-# layer (unit suite, committed reproducer corpus, and the equiv_fuzz
-# harness at reduced iteration count — random hardware being stepped
-# cycle by cycle is dense in the shifts and wraps UBSan watches). A
-# full-tree sanitized build would take far longer on the single-core
-# CI box for little extra coverage.
-set(suites test_base test_ir test_obs test_analysis test_absint
-           absint_fuzz test_lint_cli test_explorer test_fault fault_fuzz
-           test_serve serve_traffic test_equivalence test_corpus)
+string(REPLACE "," ";" suites "${SUITES}")
+set(targets ${suites})
+if(EXTRAS)
+  list(APPEND targets equiv_fuzz bench_fig2_tasks bench_report)
+endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -S "${SOURCE_DIR}" -B "${build_dir}"
-          -DMHS_SANITIZE=address,undefined
+          "-DMHS_SANITIZE=${SANITIZERS}"
           -DCMAKE_BUILD_TYPE=RelWithDebInfo
   RESULT_VARIABLE config_rc)
 if(NOT config_rc EQUAL 0)
@@ -46,7 +38,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build "${build_dir}"
-          --target ${suites} equiv_fuzz bench_fig2_tasks bench_report
+          --target ${targets}
   RESULT_VARIABLE build_rc)
 if(NOT build_rc EQUAL 0)
   message(FATAL_ERROR "sanitized build failed with ${build_rc}")
@@ -57,9 +49,15 @@ foreach(suite IN LISTS suites)
     COMMAND "${build_dir}/tests/${suite}"
     RESULT_VARIABLE suite_rc)
   if(NOT suite_rc EQUAL 0)
-    message(FATAL_ERROR "${suite} failed under ASan/UBSan (rc=${suite_rc})")
+    message(FATAL_ERROR
+        "${suite} failed under ${SANITIZERS} (rc=${suite_rc})")
   endif()
 endforeach()
+
+if(NOT EXTRAS)
+  message(STATUS "all suites clean under ${SANITIZERS}")
+  return()
+endif()
 
 # equiv_fuzz runs at a reduced iteration count under the sanitizers:
 # each case synthesizes a kernel and steps the RtlSim cycle by cycle,
@@ -71,7 +69,7 @@ execute_process(
           "${build_dir}/tests/equiv_fuzz"
   RESULT_VARIABLE equiv_rc)
 if(NOT equiv_rc EQUAL 0)
-  message(FATAL_ERROR "equiv_fuzz failed under ASan/UBSan (rc=${equiv_rc})")
+  message(FATAL_ERROR "equiv_fuzz failed under ${SANITIZERS} (rc=${equiv_rc})")
 endif()
 
 # One real bench run plus the report checker, sanitized end to end: the
@@ -96,4 +94,4 @@ if(NOT check_rc EQUAL 0)
       "sanitized bench_report --check failed (rc=${check_rc})")
 endif()
 
-message(STATUS "sanitize_core: all suites ASan/UBSan-clean")
+message(STATUS "all suites and extras clean under ${SANITIZERS}")

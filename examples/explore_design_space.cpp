@@ -3,7 +3,7 @@
 // Instead of running the co-design flow once per hand-picked strategy,
 // hand the whole search to mhs::core::Explorer: a batch of design points
 // (every §4.5 partitioning strategy × several objectives × two flow
-// variants) is evaluated in parallel with memoized cost evaluation, and
+// variants) is evaluated in parallel with cached cost evaluation, and
 // the report carries the Pareto frontier over (latency, area,
 // evaluations) plus the cache statistics that explain why the sweep is
 // cheap.

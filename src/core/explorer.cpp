@@ -20,7 +20,7 @@ struct Explorer::Context {
   /// Keeps shared optimized kernels alive for this context's lifetime.
   std::vector<std::shared_ptr<const ir::Cdfg>> keepalive;
   std::optional<partition::CostModel> model;
-  std::unique_ptr<partition::EvalCache> cache;
+  partition::EvalCache cache;
 };
 
 Explorer::Explorer(const ir::TaskGraph& graph,
@@ -28,8 +28,7 @@ Explorer::Explorer(const ir::TaskGraph& graph,
     : graph_(graph),
       kernels_(std::move(kernels)),
       options_(options),
-      pool_(options.num_threads),
-      optimized_kernels_(options.cache_shards) {
+      pool_(options.num_threads) {
   MHS_CHECK(kernels_.size() == graph_.num_tasks(),
             "one kernel slot per task required (use nullptr to skip)");
 }
@@ -66,26 +65,20 @@ Explorer::Context& Explorer::context(
         if (kernels[i] == nullptr) continue;
         const ir::Cdfg* original = kernels[i];
         std::shared_ptr<const ir::Cdfg> optimized =
-            options_.memoize
-                ? optimized_kernels_.get_or_compute(
-                      original,
-                      [&] {
-                        return std::make_shared<const ir::Cdfg>(
-                            ir::optimize(*original));
-                      })
-                : std::make_shared<const ir::Cdfg>(ir::optimize(*original));
+            optimized_kernels_
+                .get_or_compute(original,
+                                [&] {
+                                  return std::make_shared<const ir::Cdfg>(
+                                      ir::optimize(*original));
+                                })
+                .value;
         kernels[i] = optimized.get();
         ctx.keepalive.push_back(std::move(optimized));
       }
     }
-    ctx.annotated = annotate_costs(
-        graph_, kernels, config,
-        options_.memoize ? &estimate_cache_ : nullptr);
+    ctx.annotated = annotate_costs(graph_, kernels, config, &estimate_cache_);
     ctx.model.emplace(ctx.annotated, config.library, config.comm);
-    if (options_.memoize) {
-      ctx.cache = std::make_unique<partition::EvalCache>(options_.cache_shards);
-      ctx.model->set_cache(ctx.cache.get());
-    }
+    ctx.model->set_cache(&ctx.cache);
   });
   return ctx;
 }
@@ -214,11 +207,8 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
 
   for (const std::unique_ptr<Context>& ctx : contexts) {
     if (ctx->model.has_value()) ++report.contexts_built;
-    if (ctx->cache != nullptr) {
-      const partition::EvalCache::Stats stats = ctx->cache->stats();
-      report.cost_cache_hits += stats.hits;
-      report.cost_cache_misses += stats.misses;
-    }
+    report.cost_cache_hits += ctx->cache.hits();
+    report.cost_cache_misses += ctx->cache.misses();
   }
   const std::size_t cost_total =
       report.cost_cache_hits + report.cost_cache_misses;
@@ -226,8 +216,9 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
       cost_total == 0 ? 0.0
                       : static_cast<double>(report.cost_cache_hits) /
                             static_cast<double>(cost_total);
-  report.estimate_cache_hits = estimate_cache_.hits();
-  report.estimate_cache_misses = estimate_cache_.misses();
+  report.estimate_cache_hits = estimate_cache_.hits() - estimate_hits_before;
+  report.estimate_cache_misses =
+      estimate_cache_.misses() - estimate_misses_before;
 
   // Surface the cache reuse as obs counters (no-ops when disabled).
   obs::gauge(sink, "explorer.cost_cache.hit_rate",
@@ -236,9 +227,9 @@ ExploreReport Explorer::explore(const std::vector<FlowConfig>& configs,
   obs::count(sink, "explorer.eval_cache.hits", report.cost_cache_hits);
   obs::count(sink, "explorer.eval_cache.misses", report.cost_cache_misses);
   obs::count(sink, "explorer.estimate_cache.hits",
-             report.estimate_cache_hits - estimate_hits_before);
+             report.estimate_cache_hits);
   obs::count(sink, "explorer.estimate_cache.misses",
-             report.estimate_cache_misses - estimate_misses_before);
+             report.estimate_cache_misses);
 
   // Summary.
   std::ostringstream os;

@@ -10,16 +10,18 @@
 // independent of thread scheduling) into a Pareto frontier over
 // (latency, area, evaluations).
 //
-// Two memoization layers make the sweep cheap:
+// Two memoization layers, both a single-flight ConcurrentCache, make the
+// sweep cheap:
 //   * a KernelEstimateCache shares per-kernel compile/HLS estimates
 //     between configuration variants (annotation runs once per variant,
-//     estimators once per kernel per environment);
+//     estimators once per kernel body per environment);
 //   * a partition::EvalCache per variant shares schedule-latency and
 //     hardware-area evaluations between every strategy/objective pair
 //     exploring that variant's annotated graph.
-// Cached and uncached runs produce bit-identical results; the
-// ExploreReport quantifies the reuse (hit rates) and the per-point wall
-// time.
+// Cached results are bit-identical to partition::run over an uncached
+// CostModel. Single flight makes the cache counters exact, so the
+// ExploreReport's hit and miss counts, like its results, do not depend
+// on the thread count.
 #pragma once
 
 #include <memory>
@@ -64,9 +66,9 @@ struct PointResult {
 };
 
 /// Everything one explore() produced. Deterministic apart from the wall
-/// times and cache statistics: points are ordered by batch index and the
-/// frontier is computed after the deterministic merge, so the mappings,
-/// metrics, and frontier are identical for every thread count.
+/// times: points are ordered by batch index and the frontier is computed
+/// after the deterministic merge, so the mappings, metrics, frontier and
+/// cache counters are identical for every thread count.
 struct ExploreReport {
   std::vector<PointResult> points;  ///< one per input point, index order
   /// Indices (into `points`) of the Pareto-optimal points, ascending.
@@ -76,11 +78,13 @@ struct ExploreReport {
 
   std::size_t threads = 1;
   double wall_ms = 0.0;  ///< whole-batch wall time
-  /// Cost-model memoization totals across all configuration variants.
+  /// Cost-model memoization totals across all configuration variants
+  /// (each batch starts with fresh cost caches).
   std::size_t cost_cache_hits = 0;
   std::size_t cost_cache_misses = 0;
   double cost_cache_hit_rate = 0.0;
-  /// Per-kernel estimator memoization (shared across variants).
+  /// Per-kernel estimator memoization (shared across variants and
+  /// batches): this batch's lookups only.
   std::size_t estimate_cache_hits = 0;
   std::size_t estimate_cache_misses = 0;
   /// Configuration variants actually annotated (≤ configs.size()).
@@ -94,18 +98,14 @@ struct ExploreReport {
 
 /// The exploration engine. Construct once per specification (task graph
 /// plus optional behavioural kernels), then explore() batches of points.
-/// An Explorer instance may be reused across batches: its caches persist,
-/// so later batches start warm.
+/// An Explorer instance may be reused across batches: its kernel caches
+/// (optimized kernels and estimates) persist, so later batches skip the
+/// estimators.
 class Explorer {
  public:
   struct Options {
     /// Total threads (the calling thread included); 0 = all cores.
     std::size_t num_threads = 0;
-    /// Memoize cost-model and estimator work. Off recomputes everything
-    /// per point — only useful for measuring the caches themselves.
-    bool memoize = true;
-    /// Shards per concurrent cache (contention knob).
-    std::size_t cache_shards = 32;
     /// Request-scoped trace sink: spans/counters/gauges of every
     /// explore()/sweep() on this Explorer go here instead of the
     /// installed global registry (null = use the global). Also forwarded

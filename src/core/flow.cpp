@@ -56,9 +56,9 @@ std::uint64_t estimate_env_signature(const sw::CpuModel& cpu,
 
 /// The per-kernel estimator work of annotate_costs (compiled SW estimate,
 /// min-area HLS, dataflow-parallelism annotation).
-KernelEstimateCache::Entry estimate_kernel(const ir::Cdfg& kernel,
-                                           const FlowConfig& config) {
-  KernelEstimateCache::Entry entry;
+KernelEstimate estimate_kernel(const ir::Cdfg& kernel,
+                               const FlowConfig& config) {
+  KernelEstimate entry;
 
   const sw::SwEstimate sw_est = sw::estimate_compiled(kernel, config.cpu);
   entry.sw_cycles = sw_est.cycles_per_iteration;
@@ -100,12 +100,14 @@ ir::TaskGraph annotate_costs(const ir::TaskGraph& graph,
     const ir::Cdfg* kernel = kernels[t.index()];
     if (kernel == nullptr) continue;
 
-    const KernelEstimateCache::Entry entry =
+    const KernelEstimate entry =
         cache == nullptr
             ? estimate_kernel(*kernel, config)
-            : cache->table().get_or_compute(
-                  KernelEstimateCache::Key{ir::content_hash(*kernel), env},
-                  [&] { return estimate_kernel(*kernel, config); });
+            : cache
+                  ->get_or_compute(
+                      KernelEstimateKey{ir::content_hash(*kernel), env},
+                      [&] { return estimate_kernel(*kernel, config); })
+                  .value;
 
     ir::TaskCosts& costs = annotated.task(t).costs;
     costs.sw_cycles = entry.sw_cycles;

@@ -11,6 +11,11 @@
 //   co-synthesize — HLS of every hardware-mapped kernel (area validation),
 //   co-simulate   — ISS + bus + accelerator co-simulation of the largest
 //                hardware kernel behind its synthesized register interface.
+//
+// run_codesign_flow caches nothing: it is the uncached reference path
+// that the explorer's cached one (annotate_costs with a
+// KernelEstimateCache, a CostModel with an EvalCache) must reproduce bit
+// for bit.
 #pragma once
 
 #include <cstdint>
@@ -27,51 +32,39 @@ namespace mhs::core {
 
 struct FlowConfig;
 
-/// Thread-safe memo of annotate_costs' per-kernel estimator work (the
-/// compiled software estimate, the min-area HLS run, and the parallelism
-/// annotation). Keyed by a content hash of the kernel's CDFG plus a
-/// signature of the CPU/library characterization, so repeated flows — or
-/// explorer configuration variants — over the same kernels skip
-/// re-estimating. Content keying (rather than the kernel's address)
-/// makes entries stable across runs, immune to a kernel being freed
-/// mid-sweep, and shared between distinct kernel objects with equal
-/// bodies.
-class KernelEstimateCache {
- public:
-  KernelEstimateCache() = default;
-
-  std::size_t hits() const { return cache_.hits(); }
-  std::size_t misses() const { return cache_.misses(); }
-  std::size_t size() const { return cache_.size(); }
-
-  /// One task's estimator-derived annotation.
-  struct Entry {
-    double sw_cycles = 0.0;
-    double sw_size = 0.0;
-    double hw_cycles = 0.0;
-    double hw_area = 0.0;
-    double parallelism = 0.0;
-  };
-
-  struct Key {
-    std::uint64_t kernel = 0;  ///< ir::content_hash of the kernel CDFG
-    std::uint64_t env = 0;     ///< CPU + library signature
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      std::size_t seed = std::hash<std::uint64_t>{}(key.kernel);
-      hash_combine(seed, std::hash<std::uint64_t>{}(key.env));
-      return seed;
-    }
-  };
-
-  /// The underlying memo table (used by annotate_costs).
-  ConcurrentCache<Key, Entry, KeyHash>& table() { return cache_; }
-
- private:
-  ConcurrentCache<Key, Entry, KeyHash> cache_{16};
+/// One task's estimator-derived annotation (compiled software estimate,
+/// min-area HLS run, parallelism annotation).
+struct KernelEstimate {
+  double sw_cycles = 0.0;
+  double sw_size = 0.0;
+  double hw_cycles = 0.0;
+  double hw_area = 0.0;
+  double parallelism = 0.0;
 };
+
+/// A content hash of the kernel's CDFG plus a signature of the
+/// CPU/library characterization. Content keying (rather than the
+/// kernel's address) makes entries stable across runs, immune to a
+/// kernel being freed mid-sweep, and shared between distinct kernel
+/// objects with equal bodies.
+struct KernelEstimateKey {
+  std::uint64_t kernel = 0;  ///< ir::content_hash of the kernel CDFG
+  std::uint64_t env = 0;     ///< CPU + library signature
+  bool operator==(const KernelEstimateKey&) const = default;
+};
+struct KernelEstimateKeyHash {
+  std::size_t operator()(const KernelEstimateKey& key) const {
+    std::size_t seed = std::hash<std::uint64_t>{}(key.kernel);
+    hash_combine(seed, std::hash<std::uint64_t>{}(key.env));
+    return seed;
+  }
+};
+
+/// Memo of annotate_costs' per-kernel estimator work, so repeated
+/// annotations over the same kernels (the explorer's configuration
+/// variants) skip re-estimating.
+using KernelEstimateCache =
+    ConcurrentCache<KernelEstimateKey, KernelEstimate, KernelEstimateKeyHash>;
 
 /// Flow-wide configuration.
 ///
@@ -274,7 +267,7 @@ FlowReport run_codesign_flow(const ir::TaskGraph& graph,
 /// The estimate step alone: returns `graph` with sw/hw costs derived from
 /// the kernels (software: compiled static estimate; hardware: min-area
 /// HLS latency and area; parallelism: width of the kernel's dataflow).
-/// With a non-null `cache`, per-kernel estimates are memoized across
+/// With a non-null `cache`, per-kernel estimates are cached across
 /// calls — callers re-annotating the same kernels (repeated flows, the
 /// explorer's configuration variants) pay the estimators once.
 ir::TaskGraph annotate_costs(const ir::TaskGraph& graph,

@@ -12,8 +12,8 @@ namespace {
 /// Packs a mapping into 64-bit words for use as a cache key. `tag`
 /// selects the cached quantity: bit 0 = hw_concurrent, bit 1 =
 /// price_communication for latency entries; 4 marks an area entry.
-EvalCache::Key make_key(const Mapping& mapping, std::uint32_t tag) {
-  EvalCache::Key key;
+EvalKey make_key(const Mapping& mapping, std::uint32_t tag) {
+  EvalKey key;
   key.tag = tag;
   key.words.assign((mapping.size() + 63) / 64, 0);
   for (std::size_t i = 0; i < mapping.size(); ++i) {
@@ -56,10 +56,13 @@ double CostModel::schedule_latency(const Mapping& mapping,
   }
   const std::uint32_t tag = (hw_concurrent ? 1u : 0u) |
                             (price_communication ? 2u : 0u);
-  return cache_->values_.get_or_compute(make_key(mapping, tag), [&] {
-    return schedule_latency_uncached(mapping, hw_concurrent,
-                                     price_communication);
-  });
+  return cache_
+      ->get_or_compute(make_key(mapping, tag),
+                       [&] {
+                         return schedule_latency_uncached(
+                             mapping, hw_concurrent, price_communication);
+                       })
+      .value;
 }
 
 double CostModel::schedule_latency_uncached(const Mapping& mapping,
@@ -154,9 +157,10 @@ double CostModel::schedule_latency_uncached(const Mapping& mapping,
 
 double CostModel::hardware_area(const Mapping& mapping) const {
   if (cache_ == nullptr) return hardware_area_uncached(mapping);
-  return cache_->values_.get_or_compute(
-      make_key(mapping, kAreaTag),
-      [&] { return hardware_area_uncached(mapping); });
+  return cache_
+      ->get_or_compute(make_key(mapping, kAreaTag),
+                       [&] { return hardware_area_uncached(mapping); })
+      .value;
 }
 
 double CostModel::hardware_area_uncached(const Mapping& mapping) const {

@@ -15,6 +15,11 @@
 //
 // Each factor can be disabled to reproduce the E10 ablation: an optimizer
 // working under a crippled objective is scored against the full model.
+//
+// A CostModel on its own computes every evaluation: it is the reference
+// path. With an EvalCache attached (the explorer attaches one per
+// configuration variant), its two expensive terms are cached and its
+// results stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -29,55 +34,33 @@ namespace mhs::partition {
 /// A mapping: task t is in hardware iff mapping[t.index()] is true.
 using Mapping = std::vector<bool>;
 
-/// Thread-safe memoization of CostModel's expensive sub-evaluations
-/// (schedule latency and shared hardware area), keyed by the packed
-/// mapping bits. Objective weights are applied *after* the cached terms,
-/// so one cache serves every objective evaluated over the same annotated
-/// graph — the dominant sharing in a design-space sweep.
+/// Key of CostModel's memo: the packed mapping bits plus a tag naming
+/// the cached quantity (area, or latency under one of the flag
+/// combinations).
+struct EvalKey {
+  std::vector<std::uint64_t> words;
+  std::uint32_t tag = 0;
+  bool operator==(const EvalKey&) const = default;
+};
+struct EvalKeyHash {
+  std::size_t operator()(const EvalKey& key) const {
+    std::size_t seed = key.tag;
+    for (const std::uint64_t w : key.words) {
+      hash_combine(seed, std::hash<std::uint64_t>{}(w));
+    }
+    return seed;
+  }
+};
+
+/// Memo of CostModel's expensive sub-evaluations (schedule latency and
+/// shared hardware area). Objective weights are applied *after* the
+/// cached terms, so one cache serves every objective evaluated over the
+/// same annotated graph — the dominant sharing in a design-space sweep.
 ///
 /// A cache is only valid for CostModels built over the same graph
 /// annotation, library, and communication model; the explorer keeps one
 /// per configuration variant. Attach with CostModel::set_cache().
-class EvalCache {
- public:
-  explicit EvalCache(std::size_t shards = 32) : values_(shards) {}
-
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    double hit_rate() const {
-      return hits + misses == 0
-                 ? 0.0
-                 : static_cast<double>(hits) /
-                       static_cast<double>(hits + misses);
-    }
-  };
-  Stats stats() const { return {values_.hits(), values_.misses()}; }
-  std::size_t size() const { return values_.size(); }
-  void clear() { values_.clear(); }
-
-  /// Packed mapping plus a tag discriminating which quantity is cached
-  /// (area, or latency under one of the flag combinations).
-  struct Key {
-    std::vector<std::uint64_t> words;
-    std::uint32_t tag = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      std::size_t seed = key.tag;
-      for (const std::uint64_t w : key.words) {
-        hash_combine(seed, std::hash<std::uint64_t>{}(w));
-      }
-      return seed;
-    }
-  };
-
- private:
-  friend class CostModel;
-
-  ConcurrentCache<Key, double, KeyHash> values_;
-};
+using EvalCache = ConcurrentCache<EvalKey, double, EvalKeyHash>;
 
 /// Communication pricing between mapped tasks.
 struct CommModel {
@@ -147,7 +130,6 @@ class CostModel {
   /// over the identical graph annotation, library, and comm model.
   /// Cached runs return bit-identical results to uncached runs.
   void set_cache(EvalCache* cache) { cache_ = cache; }
-  EvalCache* cache() const { return cache_; }
 
   const ir::TaskGraph& graph() const { return *graph_; }
   const hw::ComponentLibrary& library() const { return lib_; }

@@ -541,7 +541,7 @@ bool prepare_lint(const LintParams& p, Dispatcher::Prepared* prep,
 // -------------------------------------------------------------- Dispatcher
 
 Dispatcher::Dispatcher(Options options)
-    : options_(options), results_(options.cache_shards) {}
+    : options_(options) {}
 
 DispatchStats Dispatcher::stats() const {
   DispatchStats s;
@@ -871,65 +871,35 @@ Response Dispatcher::handle(const Request& request,
                              std::move(error));
   }
 
-  std::shared_ptr<const Response> cached;
-  if (options_.result_cache && results_.lookup(prep.key, &cached)) {
+  // The first arrival of a key evaluates; concurrent duplicates wait for
+  // its response. Only successes are stored: a failure stays retryable.
+  const auto [response, lookup] = results_.get_or_compute(
+      prep.key,
+      [&] {
+        evaluations_.fetch_add(1, std::memory_order_relaxed);
+        obs::count("svc.evaluations");
+        return std::make_shared<const Response>(evaluate(prep, &trace));
+      },
+      [this](const std::shared_ptr<const Response>& r) {
+        return r->ok() && options_.result_cache;
+      });
+  if (lookup == CacheLookup::kHit) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.cache.hits");
     root.arg("cache_hit", "true");
-    if (outcome != nullptr) {
-      outcome->cache_hit = true;
-      fill_outcome(*cached, outcome);
-    }
-    return *cached;
-  }
-
-  // Coalesce: the first arrival of a key evaluates; concurrent
-  // duplicates wait on the leader's InFlight and share its result.
-  std::shared_ptr<InFlight> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto [it, inserted] =
-        in_flight_.try_emplace(prep.key, std::make_shared<InFlight>());
-    flight = it->second;
-    leader = inserted;
-  }
-  if (!leader) {
+    if (outcome != nullptr) outcome->cache_hit = true;
+  } else if (lookup == CacheLookup::kWaited) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.coalesced");
     root.arg("coalesced", "true");
-    std::unique_lock<std::mutex> lock(inflight_mutex_);
-    flight->cv.wait(lock, [&flight] { return flight->done; });
-    if (!flight->result->ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (outcome != nullptr) {
-      outcome->coalesced = true;
-      fill_outcome(*flight->result, outcome);
-    }
-    return *flight->result;
+    if (outcome != nullptr) outcome->coalesced = true;
   }
-
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  obs::count("svc.evaluations");
-  auto shared = std::make_shared<const Response>(evaluate(prep, &trace));
-  // Only successes are cached: a failed evaluation should be retryable.
-  if (shared->ok() && options_.result_cache) {
-    results_.get_or_compute(prep.key, [&shared] { return shared; });
-  }
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    flight->result = shared;
-    flight->done = true;
-    in_flight_.erase(prep.key);
-  }
-  flight->cv.notify_all();
-  if (!shared->ok()) {
+  if (!response->ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     obs::count("svc.errors");
   }
-  fill_outcome(*shared, outcome);
-  return *shared;
+  fill_outcome(*response, outcome);
+  return *response;
 }
 
 Dispatcher& default_dispatcher() {

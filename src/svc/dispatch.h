@@ -1,16 +1,17 @@
 // The service dispatcher: one object that maps every svc::Request onto
 // the library entry points (core::run_codesign_flow, core::Explorer,
 // sim::run, mhs::analysis, mhs::fault) and owns the service-side
-// memoization:
+// memoization: one single-flight ConcurrentCache (the same primitive as
+// the partition EvalCache) keyed by ir::content_hash of the request's IR
+// inputs combined with a signature of its configuration.
 //
-//   * a result cache (ConcurrentCache — the same machinery as the
-//     partition EvalCache) keyed by ir::content_hash of the request's IR
-//     inputs combined with a signature of its configuration, so a
-//     repeated request is answered without re-evaluating;
-//   * in-flight coalescing on the same key: when N identical requests
-//     arrive concurrently, one evaluates and the other N-1 wait for the
-//     shared result — the stats prove it (evaluations counts unique
-//     work, coalesced counts the riders).
+//   * A repeated request is answered from the cache without
+//     re-evaluating (cache_hits).
+//   * When N identical requests arrive concurrently, one evaluates and
+//     the other N-1 wait for its response (coalesced), whether or not it
+//     is then stored. The stats prove it: evaluations counts unique work.
+//   * Only successful responses are stored, so a failure is retried by
+//     the next request.
 //
 // Responses are deterministic (no wall times), so a cached or coalesced
 // response is byte-identical to a fresh evaluation. handle() is
@@ -19,12 +20,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "base/concurrent_cache.h"
 #include "obs/obs.h"
@@ -45,8 +43,6 @@ struct DispatchStats {
 class Dispatcher {
  public:
   struct Options {
-    /// Shards of the result cache.
-    std::size_t cache_shards = 16;
     /// Cache successful responses across requests (in-flight coalescing
     /// happens regardless). Off only for cache-measurement tests.
     bool result_cache = true;
@@ -95,12 +91,6 @@ class Dispatcher {
   std::string metrics_prometheus() const;
 
  private:
-  struct InFlight {
-    bool done = false;
-    std::shared_ptr<const Response> result;
-    std::condition_variable cv;
-  };
-
   Response evaluate(const Prepared& prepared, const obs::TraceContext* trace);
 
   Options options_;
@@ -110,8 +100,6 @@ class Dispatcher {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> errors_{0};
   ConcurrentCache<std::uint64_t, std::shared_ptr<const Response>> results_;
-  std::mutex inflight_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> in_flight_;
 };
 
 /// The process-wide dispatcher behind svc::run().

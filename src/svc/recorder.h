@@ -1,19 +1,18 @@
-// The serve-side flight recorder: a lock-free ring buffer retaining the
-// last N completed requests (identity, status, latency breakdown, how
-// the dispatcher satisfied the request, and the simulated work it
+// The serve-side flight recorder: a ring buffer retaining the last N
+// completed requests (identity, status, latency breakdown, how the
+// dispatcher satisfied the request, and the simulated work it
 // represents), plus the store of per-request Chrome traces behind
 // GET /v1/trace/<id>.
 //
-// FlightRecorder is a single-writer seqlock ring: the event-loop thread
-// publishes entries, and readers (GET /v1/requests, tests polling from
-// another thread) snapshot without taking any lock — a torn slot is
-// detected by its version word and skipped, never blocked on.
+// FlightRecorder is a mutex-guarded ring: the event-loop thread records
+// one entry per request, and readers (GET /v1/requests, tests polling
+// from another thread) copy the ring under the same lock.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,8 +41,7 @@ struct RecordedRequest {
   std::uint64_t profile[6] = {0, 0, 0, 0, 0, 0};
 };
 
-/// Lock-free ring of the last `entries` completed requests. One writer
-/// (the server's event-loop thread); any number of concurrent readers.
+/// Thread-safe ring of the last `entries` completed requests.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t entries);
@@ -51,48 +49,26 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Publishes one entry (single-writer; the entry's seq field is
-  /// ignored — the recorder assigns the next sequence number and
-  /// returns it).
+  /// Records one entry (the entry's seq field is ignored — the recorder
+  /// assigns the next sequence number and returns it).
   std::uint64_t record(const RecordedRequest& request);
 
-  /// Copies the retained entries, newest first. Slots mid-write are
-  /// skipped (seqlock), so a snapshot taken during a publish simply
-  /// misses that one in-flight entry.
+  /// Copies the retained entries, newest first.
   std::vector<RecordedRequest> snapshot() const;
 
   /// The /v1/requests result object:
   ///   {"capacity":N,"recorded":total,"entries":[...newest first...]}
   std::string json() const;
 
-  std::size_t capacity() const { return slots_.size(); }
-  /// Total entries ever published (>= capacity() once the ring wraps).
-  std::uint64_t recorded() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  std::size_t capacity() const { return capacity_; }
+  /// Total entries ever recorded (>= capacity() once the ring wraps).
+  std::uint64_t recorded() const;
 
  private:
-  /// Fixed-size slot payload (strings flattened to bounded char arrays
-  /// so a torn read can never chase a dangling pointer).
-  struct Slot {
-    std::atomic<std::uint64_t> version{0};  ///< odd while being written
-    std::uint64_t seq = 0;
-    char trace_id[24] = {};
-    char endpoint[24] = {};
-    int status = 0;
-    std::uint64_t parse_us = 0;
-    std::uint64_t queue_us = 0;
-    std::uint64_t dispatch_us = 0;
-    std::uint64_t respond_us = 0;
-    std::uint64_t total_us = 0;
-    bool cache_hit = false;
-    bool coalesced = false;
-    std::uint64_t total_cycles = 0;
-    std::uint64_t profile[6] = {0, 0, 0, 0, 0, 0};
-  };
-
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> next_seq_{0};
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::vector<RecordedRequest> ring_;  ///< entry seq lives at seq % capacity_
+  std::uint64_t next_seq_ = 0;
 };
 
 /// The store of rendered Chrome traces behind GET /v1/trace/<id>: a

@@ -1,10 +1,14 @@
 // Unit tests for mhs::core::Explorer — deterministic parallel design-space
-// exploration with memoized cost evaluation — plus the partition::run
-// dispatcher and the base concurrency primitives it builds on.
+// exploration with cached cost evaluation — plus the partition::run
+// dispatcher and the base concurrency primitives it builds on (the thread
+// pool and the single-flight ConcurrentCache).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/workloads.h"
@@ -12,6 +16,7 @@
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "core/explorer.h"
+#include "ir/optimize.h"
 #include "ir/task_graph_gen.h"
 
 namespace mhs::core {
@@ -111,7 +116,7 @@ TEST(ThreadPool, SubmitAndWaitIdleDrains) {
 }
 
 TEST(ConcurrentCache, MemoizesAndCounts) {
-  ConcurrentCache<int, int> cache(4);
+  ConcurrentCache<int, int> cache;
   int computed = 0;
   const auto compute = [&computed](int key) {
     return [&computed, key] {
@@ -119,34 +124,159 @@ TEST(ConcurrentCache, MemoizesAndCounts) {
       return key * key;
     };
   };
-  EXPECT_EQ(cache.get_or_compute(5, compute(5)), 25);
-  EXPECT_EQ(cache.get_or_compute(5, compute(5)), 25);
-  EXPECT_EQ(cache.get_or_compute(6, compute(6)), 36);
+  const CacheResult<int> first = cache.get_or_compute(5, compute(5));
+  EXPECT_EQ(first.value, 25);
+  EXPECT_EQ(first.lookup, CacheLookup::kComputed);
+  const CacheResult<int> second = cache.get_or_compute(5, compute(5));
+  EXPECT_EQ(second.value, 25);
+  EXPECT_EQ(second.lookup, CacheLookup::kHit);
+  EXPECT_EQ(cache.get_or_compute(6, compute(6)).value, 36);
   EXPECT_EQ(computed, 2);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
-  int out = 0;
-  EXPECT_TRUE(cache.lookup(6, &out));
-  EXPECT_EQ(out, 36);
-  EXPECT_FALSE(cache.lookup(7, &out));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ConcurrentCache, ConcurrentHammerStaysConsistent) {
-  ConcurrentCache<int, int> cache(8);
+TEST(ConcurrentCache, ConcurrentHammerCountsExactly) {
+  ConcurrentCache<int, int> cache;
   ThreadPool pool(4);
   std::atomic<int> wrong{0};
+  std::atomic<int> computed{0};
   pool.parallel_for(512, [&](std::size_t i) {
     const int key = static_cast<int>(i % 13);
-    const int value =
-        cache.get_or_compute(key, [key] { return key * 1000; });
+    const int value = cache
+                          .get_or_compute(key,
+                                          [&computed, key] {
+                                            computed.fetch_add(1);
+                                            return key * 1000;
+                                          })
+                          .value;
     if (value != key * 1000) wrong.fetch_add(1);
   });
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(cache.size(), 13u);
-  EXPECT_EQ(cache.hits() + cache.misses(), 512u);
+  // Single flight: one computation per key, every other call a hit.
+  EXPECT_EQ(computed.load(), 13);
+  EXPECT_EQ(cache.misses(), 13u);
+  EXPECT_EQ(cache.hits(), 512u - 13u);
+}
+
+TEST(ConcurrentCache, ConcurrentMissesOnOneKeyComputeOnce) {
+  // The first caller's compute() holds its flight open until every other
+  // caller has arrived at the cache, so they find it in flight (or, if
+  // one is descheduled past the landing, stored): either way nobody
+  // computes a second time.
+  constexpr std::size_t kCallers = 8;
+  ConcurrentCache<int, int> cache;
+  std::latch computing(1);
+  std::latch arrivals(kCallers - 1);
+  std::atomic<int> computed{0};
+  const auto compute = [&] {
+    if (computed.fetch_add(1) == 0) {
+      computing.count_down();
+      arrivals.wait();
+    }
+    return 42;
+  };
+  std::vector<CacheResult<int>> results(kCallers, {0, CacheLookup::kHit});
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { results[0] = cache.get_or_compute(7, compute); });
+  computing.wait();
+  for (std::size_t i = 1; i < kCallers; ++i) {
+    threads.emplace_back([&, i] {
+      arrivals.count_down();
+      results[i] = cache.get_or_compute(7, compute);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(computed.load(), 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), kCallers - 1);
+  EXPECT_EQ(results[0].lookup, CacheLookup::kComputed);
+  for (std::size_t i = 1; i < kCallers; ++i) {
+    EXPECT_EQ(results[i].value, 42);
+    EXPECT_NE(results[i].lookup, CacheLookup::kComputed);
+  }
+}
+
+TEST(ConcurrentCache, ThrowingComputeStoresNothingAndWaitersRetry) {
+  ConcurrentCache<int, int> cache;
+  EXPECT_THROW(cache.get_or_compute(1, []() -> int { throw Error("boom"); }),
+               Error);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.get_or_compute(1, [] { return 10; }).lookup,
+            CacheLookup::kComputed);
+
+  // A caller that arrives while a compute() is in flight on its key and
+  // then sees it throw computes the value itself.
+  std::latch computing(1);
+  std::latch arrived(1);
+  std::thread leader([&] {
+    EXPECT_THROW(cache.get_or_compute(2,
+                                      [&]() -> int {
+                                        computing.count_down();
+                                        arrived.wait();
+                                        throw Error("boom");
+                                      }),
+                 Error);
+  });
+  computing.wait();
+  arrived.count_down();
+  const CacheResult<int> retried = cache.get_or_compute(2, [] { return 20; });
+  leader.join();
+  EXPECT_EQ(retried.value, 20);
+  EXPECT_EQ(retried.lookup, CacheLookup::kComputed);
+  EXPECT_EQ(cache.get_or_compute(2, [] { return 0; }).value, 20);
+  EXPECT_EQ(cache.misses(), 4u);  // two throws, two stored computations
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ConcurrentCache, UnkeptValueReachesWaitersAndIsRecomputed) {
+  constexpr std::size_t kCallers = 6;
+  ConcurrentCache<int, int> cache;
+  const auto never = [](const int&) { return false; };
+  std::latch computing(1);
+  std::latch arrivals(kCallers - 1);
+  std::atomic<int> computed{0};
+  const auto compute = [&] {
+    if (computed.fetch_add(1) == 0) {
+      computing.count_down();
+      arrivals.wait();
+    }
+    return 42;
+  };
+  std::vector<CacheResult<int>> results(kCallers, {0, CacheLookup::kHit});
+  std::vector<std::thread> threads;
+  threads.emplace_back(
+      [&] { results[0] = cache.get_or_compute(3, compute, never); });
+  computing.wait();
+  for (std::size_t i = 1; i < kCallers; ++i) {
+    threads.emplace_back([&, i] {
+      arrivals.count_down();
+      results[i] = cache.get_or_compute(3, compute, never);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  // Nothing is stored, so no call hits: each either rode a computation
+  // or ran one, and the counters split exactly that way.
+  std::size_t waited = 0;
+  for (const CacheResult<int>& r : results) {
+    EXPECT_EQ(r.value, 42);
+    EXPECT_NE(r.lookup, CacheLookup::kHit);
+    if (r.lookup == CacheLookup::kWaited) ++waited;
+  }
+  EXPECT_EQ(results[0].lookup, CacheLookup::kComputed);
+  EXPECT_EQ(cache.hits(), waited);
+  EXPECT_EQ(cache.misses(), static_cast<std::size_t>(computed.load()));
+  EXPECT_EQ(cache.hits() + cache.misses(), kCallers);
+  EXPECT_EQ(cache.size(), 0u);
+
+  const CacheResult<int> next = cache.get_or_compute(3, compute);
+  EXPECT_EQ(next.lookup, CacheLookup::kComputed);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(PartitionRun, EveryStrategyReportsItsName) {
@@ -181,28 +311,45 @@ TEST(Explorer, DeterministicAcrossThreadCounts) {
   expect_reports_identical(reports[0], reports[1]);
   expect_reports_identical(reports[0], reports[2]);
   EXPECT_FALSE(reports[0].frontier.empty());
+  // Single-flight caches make the counters exact, so they match too.
+  EXPECT_GT(reports[0].cost_cache_hits, 0u);
+  for (const ExploreReport& report : reports) {
+    EXPECT_EQ(report.cost_cache_hits, reports[0].cost_cache_hits);
+    EXPECT_EQ(report.cost_cache_misses, reports[0].cost_cache_misses);
+    EXPECT_EQ(report.estimate_cache_hits, reports[0].estimate_cache_hits);
+    EXPECT_EQ(report.estimate_cache_misses,
+              reports[0].estimate_cache_misses);
+  }
 }
 
 TEST(Explorer, CachedEvaluationsAreBitIdenticalToUncached) {
   const ir::TaskGraph g = make_graph();
-  const std::vector<FlowConfig> configs = {FlowConfig::defaults()};
+  const FlowConfig config = FlowConfig::defaults();
   const std::vector<DesignPoint> points = Explorer::cross_product(
-      configs.size(), search_strategies(), make_objectives(g));
+      1, search_strategies(), make_objectives(g));
 
-  Explorer::Options uncached_options;
-  uncached_options.num_threads = 1;
-  uncached_options.memoize = false;
-  Explorer uncached(g, uncached_options);
-  const ExploreReport plain = uncached.explore(configs, points);
-  EXPECT_EQ(plain.cost_cache_hits + plain.cost_cache_misses, 0u);
-
-  Explorer::Options cached_options;
-  cached_options.num_threads = 1;
-  Explorer cached(g, cached_options);
-  const ExploreReport memo = cached.explore(configs, points);
+  Explorer::Options options;
+  options.num_threads = 2;
+  Explorer explorer(g, options);
+  const ExploreReport memo = explorer.explore({config}, points);
   EXPECT_GT(memo.cost_cache_hits, 0u);
 
-  expect_reports_identical(plain, memo);
+  // The reference: partition::run over a fresh CostModel with no cache
+  // (the graph has no kernels, so annotation leaves it unchanged).
+  ASSERT_EQ(memo.points.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const partition::CostModel model(g, config.library, config.comm);
+    const partition::PartitionResult plain =
+        partition::run(points[i].strategy, model, points[i].objective);
+    const partition::PartitionResult& cached = memo.points[i].partition;
+    EXPECT_EQ(memo.points[i].error, "");
+    EXPECT_EQ(cached.algorithm, plain.algorithm);
+    EXPECT_EQ(cached.mapping, plain.mapping);
+    EXPECT_EQ(cached.evaluations, plain.evaluations);
+    EXPECT_EQ(cached.metrics.latency_cycles, plain.metrics.latency_cycles);
+    EXPECT_EQ(cached.metrics.hw_area, plain.metrics.hw_area);
+    EXPECT_EQ(cached.metrics.energy, plain.metrics.energy);
+  }
 }
 
 TEST(Explorer, EmptyBatchAndSinglePoint) {
@@ -279,7 +426,17 @@ TEST(Explorer, KernelEstimatesSharedAcrossConfigVariants) {
   EXPECT_TRUE(report.points[0].error.empty());
   EXPECT_TRUE(report.points[1].error.empty());
   EXPECT_EQ(report.contexts_built, 2u);
-  EXPECT_GT(report.estimate_cache_hits, 0u);
+  // Both contexts look up every (optimized) kernel under one environment:
+  // exactly one estimate per distinct body, every other lookup a hit.
+  std::size_t lookups = 0;
+  std::set<std::uint64_t> bodies;
+  for (const ir::Cdfg* kernel : w.kernels) {
+    if (kernel == nullptr) continue;
+    lookups += configs.size();
+    bodies.insert(ir::content_hash(ir::optimize(*kernel)));
+  }
+  EXPECT_EQ(report.estimate_cache_misses, bodies.size());
+  EXPECT_EQ(report.estimate_cache_hits, lookups - bodies.size());
   // Identical environments ⇒ identical annotations ⇒ identical results.
   EXPECT_EQ(report.points[0].partition.mapping,
             report.points[1].partition.mapping);

@@ -558,7 +558,7 @@ TEST_F(FaultDmaFixture, CancelMidFlightDisarmsPendingBurstEvents) {
   EXPECT_EQ(dma.transfers_completed(), 1u);
 }
 
-TEST_F(FaultDmaFixture, TeardownWithInFlightEventsDoesNotCrash) {
+TEST_F(FaultDmaFixture, TeardownWithPendingEventsDoesNotCrash) {
   // Regression: the completion event of a mid-flight transfer used to
   // fire into a destroyed engine. The epoch token now disarms it.
   {

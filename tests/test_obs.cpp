@@ -367,7 +367,7 @@ TEST(ObsFlow, ExplorerEmitsPointSpansAndCacheCounters) {
   }
   EXPECT_EQ(r.counter("explorer.points"), report.points.size());
   // The estimate cache saw one lookup per (kernel, config) pair; the obs
-  // counters mirror the report's totals for a fresh explorer.
+  // counters mirror the report's per-batch counts.
   EXPECT_EQ(r.counter("explorer.estimate_cache.hits"),
             report.estimate_cache_hits);
   EXPECT_EQ(r.counter("explorer.estimate_cache.misses"),
@@ -400,6 +400,26 @@ TEST(ObsFlow, ExplorerEmitsPointSpansAndCacheCounters) {
   EXPECT_EQ(report.report.designs.size(), report.frontier.size());
   EXPECT_FALSE(report.report.obs.empty());
   EXPECT_TRUE(json_is_valid(r.chrome_trace_json()));
+
+  // A second batch on the now warm explorer estimates nothing, and its
+  // report counts only its own lookups, as its obs counters do.
+  Registry warm_registry;
+  core::ExploreReport warm;
+  {
+    ScopedRegistry scope(warm_registry);
+    warm = explorer.sweep(configs, strategies, objectives);
+  }
+  EXPECT_EQ(warm.estimate_cache_misses, 0u);
+  EXPECT_EQ(warm.estimate_cache_hits, report.estimate_cache_hits +
+                                          report.estimate_cache_misses);
+  EXPECT_EQ(warm_registry.counter("explorer.estimate_cache.hits"),
+            warm.estimate_cache_hits);
+  EXPECT_EQ(warm_registry.counter("explorer.estimate_cache.misses"),
+            warm.estimate_cache_misses);
+  EXPECT_EQ(warm_registry.counter("explorer.eval_cache.hits"),
+            warm.cost_cache_hits);
+  EXPECT_EQ(warm_registry.counter("explorer.eval_cache.misses"),
+            warm.cost_cache_misses);
 }
 
 // -- Histograms and gauges.

@@ -8,11 +8,10 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <future>
-#include <mutex>
+#include <latch>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -317,6 +316,24 @@ TEST(ServeDispatch, RepeatedRequestIsCachedAndByteIdentical) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
+/// Sends `request` from `clients` threads released together by a
+/// barrier; returns the responses in thread order.
+std::vector<Response> handle_concurrently(Dispatcher& dispatcher,
+                                          const Request& request,
+                                          std::size_t clients) {
+  std::vector<Response> responses(clients);
+  std::vector<std::thread> threads;
+  std::latch barrier(static_cast<std::ptrdiff_t>(clients));
+  for (std::size_t i = 0; i < clients; ++i) {
+    threads.emplace_back([&, i] {
+      barrier.arrive_and_wait();
+      responses[i] = dispatcher.handle(request);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return responses;
+}
+
 TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
   // Result caching is off, so a request arriving after the leader
   // finished would evaluate again — evaluations == 1 can only mean the
@@ -333,24 +350,8 @@ TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
   request.flow.cosimulate = true;
 
   constexpr std::size_t kClients = 6;
-  std::vector<Response> responses(kClients);
-  std::vector<std::thread> threads;
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  std::size_t arrived = 0;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    threads.emplace_back([&, i] {
-      {
-        std::unique_lock<std::mutex> lock(gate_mutex);
-        ++arrived;
-        gate_cv.notify_all();
-        gate_cv.wait(lock, [&] { return arrived == kClients; });
-      }
-      responses[i] = dispatcher.handle(request);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
+  const std::vector<Response> responses =
+      handle_concurrently(dispatcher, request, kClients);
   for (const Response& response : responses) {
     ASSERT_TRUE(response.ok()) << response.error;
     EXPECT_EQ(response.json(), responses[0].json());
@@ -360,6 +361,37 @@ TEST(ServeDispatch, ConcurrentIdenticalRequestsCoalesceToOneEvaluation) {
   EXPECT_EQ(stats.evaluations, 1u);
   EXPECT_EQ(stats.coalesced, kClients - 1);
   EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+TEST(ServeDispatch, ConcurrentFailingRequestsEachCountAsAnError) {
+  // A failed evaluation is not stored; whether the other requests ride
+  // it or evaluate again, every one of them is an error in both the
+  // dispatcher stats and the installed registry.
+  obs::Registry registry;
+  obs::ScopedRegistry scoped(registry);
+  Dispatcher dispatcher;
+
+  // The kernel parses, so the request reaches evaluation, where the
+  // pre-HLS verification gate rejects it.
+  Request request;
+  request.endpoint = Endpoint::kCosim;
+  request.cosim.kernel_text = fixture("dangling_value.cdfg");
+
+  constexpr std::size_t kClients = 6;
+  const std::vector<Response> responses =
+      handle_concurrently(dispatcher, request, kClients);
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.status, 400);
+    EXPECT_EQ(response.json(), responses[0].json());
+  }
+  const DispatchStats stats = dispatcher.stats();
+  EXPECT_EQ(stats.requests, kClients);
+  EXPECT_EQ(stats.errors, kClients);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.evaluations + stats.coalesced, kClients);
+  EXPECT_EQ(registry.counter("svc.errors"), kClients);
+  EXPECT_EQ(registry.counter("svc.evaluations"), stats.evaluations);
+  EXPECT_EQ(registry.counter("svc.coalesced"), stats.coalesced);
 }
 
 // -------------------------------------------- dispatcher: error mapping
